@@ -9,7 +9,7 @@
 //! (every accepted request is still answered), and joins every
 //! connection thread before returning the final counters.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -127,21 +127,49 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// Longest request line, in bytes, the daemon buffers. Requests are a
+/// few hundred bytes; a longer line is answered `invalid` and its
+/// connection closed, so no client can make the daemon buffer without
+/// bound.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
 /// Drives one client connection line-by-line until EOF, a write
-/// failure, or a `drain` op.
+/// failure, an oversized line or a `drain` op.
 fn serve_connection(core: &ServeCore, stream: TcpStream, stopping: &AtomicBool) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
     let mut writer = std::io::BufWriter::new(write_half);
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        let Some(line) = buf.strip_suffix(b"\n").or_else(|| {
+            // No newline: either the final line before EOF or a line
+            // cut off at the limit.
+            (buf.len() <= MAX_LINE_BYTES).then_some(&buf[..])
+        }) else {
+            let response = ServeResponse::with_detail(
+                String::new(),
+                ServeStatus::Invalid,
+                format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+            );
+            let _ = write_line(&mut writer, &response);
+            break;
+        };
+        let Ok(line) = std::str::from_utf8(line.strip_suffix(b"\r").unwrap_or(line)) else {
+            break;
+        };
         if line.trim().is_empty() {
             continue;
         }
         if stopping.load(Ordering::Acquire) {
-            let id = super::extract_id(&line);
+            let id = super::extract_id(line);
             let response =
                 ServeResponse::with_detail(id, ServeStatus::Draining, "daemon is draining");
             if write_line(&mut writer, &response).is_err() {
@@ -149,7 +177,7 @@ fn serve_connection(core: &ServeCore, stream: TcpStream, stopping: &AtomicBool) 
             }
             continue;
         }
-        let (response, drain_after) = dispatch(core, &line);
+        let (response, drain_after) = dispatch(core, line);
         if write_line(&mut writer, &response).is_err() {
             break;
         }

@@ -325,6 +325,9 @@ impl ServeCore {
             workers.push(std::thread::spawn(move || {
                 while let Some(job) = inner.queue.pop() {
                     inner.process(job);
+                    // Nothing in serve exports spans: keep the metrics,
+                    // drop the job's phase spans.
+                    paraconv_obs::discard_thread_spans();
                 }
                 paraconv_obs::flush_thread();
             }));
@@ -376,6 +379,7 @@ impl ServeCore {
         match request.deadline_ms {
             Some(0) => token.cancel(),
             Some(ms) => inner.watchdog.arm(
+                // lint: allow(wallclock-rng) — request deadlines are wall-clock by definition
                 Instant::now() + std::time::Duration::from_millis(ms),
                 token.clone(),
             ),
@@ -387,6 +391,7 @@ impl ServeCore {
             attempt: 0,
             token,
             ticket: Arc::clone(&ticket),
+            // lint: allow(wallclock-rng) — queue wait is a wall-clock latency metric
             created: Instant::now(),
             request,
         };
@@ -509,6 +514,7 @@ impl ServeInner {
                 }
                 return;
             }
+            // lint: allow(wallclock-rng) — request deadlines are wall-clock by definition
             let now = Instant::now();
             armed.retain(|(expiry, token)| {
                 if *expiry <= now {
@@ -533,10 +539,11 @@ impl ServeInner {
     }
 
     fn process(&self, job: Job) {
-        let fault = self.config.fault.clone().unwrap_or_else(|| {
-            // lint: allow(no-unwrap) — the quiet spec always builds.
-            FaultSpec::quiet(0)
-        });
+        let fault = self
+            .config
+            .fault
+            .clone()
+            .unwrap_or_else(|| FaultSpec::quiet(0));
 
         // Deadline already expired (or drain cancelled it): answer
         // without planning. Not the tenant's fault — no breaker food.

@@ -14,11 +14,10 @@
 //! the jobs inline on the calling thread — exactly the sequential
 //! loop the experiments used to hand-roll.
 //!
-//! Worker-count invariance covers the observability layer too: each
-//! point's replay takes the simulator's batched repeated-block path
-//! whenever its plan is periodic, and the counters that path emits
-//! in bulk (`sim.batched_steps`, `pe.tasks_recorded`, the vault
-//! totals) are totals per point, so merged snapshots stay
+//! Worker-count invariance covers the observability layer too: the
+//! counters each point's replay emits (`sim.batched_steps` for a
+//! periodic plan's repeated iterations, `pe.tasks_recorded`, the
+//! vault totals) are totals per point, so merged snapshots stay
 //! byte-identical at any pool width.
 //!
 //! [`ExperimentConfig::jobs`]: crate::ExperimentConfig::jobs

@@ -77,8 +77,8 @@ pub use metrics::{
     check_prometheus, prometheus_name, Histogram, MetricsSnapshot, HISTOGRAM_BUCKETS,
 };
 pub use recorder::{
-    counter_add, current_tid, disable, enable, enabled, flush_thread, gauge_max, logical_time,
-    now_us, observe, reset, set_enabled, snapshot, span, take_spans, BufferedRecorder,
-    NoopRecorder, Recorder, SpanEvent, SpanGuard,
+    counter_add, current_tid, disable, discard_thread_spans, enable, enabled, flush_thread,
+    gauge_max, logical_time, now_us, observe, reset, set_enabled, snapshot, span, take_spans,
+    BufferedRecorder, NoopRecorder, Recorder, SpanEvent, SpanGuard,
 };
 pub use window::{Slo, SloStatus, WindowedMetrics};

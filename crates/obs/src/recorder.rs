@@ -365,6 +365,14 @@ pub fn flush_thread() {
     with_local(LocalBuffer::flush);
 }
 
+/// Drops the spans the calling thread has buffered but not yet
+/// flushed; its metrics are kept. Long-lived threads whose spans have
+/// no consumer (the serve workers) call this after each unit of work,
+/// so span memory does not grow with the work done.
+pub fn discard_thread_spans() {
+    with_local(|b| b.spans.clear());
+}
+
 /// Flushes the calling thread and returns a copy of the merged
 /// metrics. Buffers of *other* threads that have not called
 /// [`flush_thread`] yet are not included; the sweep engine's workers

@@ -417,12 +417,13 @@ pub fn audit_plan(
 ) -> Result<AuditReport, AuditError> {
     let iterations = plan.iterations();
     let cost = CostModel::new(config, graph.edge_count());
+    let tasks: Vec<PlannedTask> = plan.tasks().collect();
+    let transfers: Vec<crate::PlannedTransfer> = plan.transfers().collect();
 
     // ---- task coverage: exactly once per (node, iteration) ------------
-    let mut task_at: HashMap<(usize, u64), &PlannedTask> =
-        HashMap::with_capacity(plan.tasks().len());
+    let mut task_at: HashMap<(usize, u64), &PlannedTask> = HashMap::with_capacity(tasks.len());
     let mut pe_intervals: Vec<Vec<(u64, u64, NodeId)>> = vec![Vec::new(); config.num_pes()];
-    for t in plan.tasks() {
+    for t in &tasks {
         let node = graph
             .node(t.node)
             .map_err(|_| AuditError::UnknownNode(t.node))?;
@@ -479,12 +480,12 @@ pub fn audit_plan(
 
     // ---- transfers: exact departure, exact latency --------------------
     let mut transfer_at: HashMap<(usize, u64), &crate::PlannedTransfer> =
-        HashMap::with_capacity(plan.transfers().len());
+        HashMap::with_capacity(transfers.len());
     let mut cached = 0u64;
     let mut edram = 0u64;
     let mut cache_events: Vec<(u64, i64)> = Vec::new();
     let mut fifo_events: Vec<Vec<(u64, i64)>> = vec![Vec::new(); config.num_pes()];
-    for x in plan.transfers() {
+    for x in &transfers {
         let ipr = graph
             .edge(x.edge)
             .map_err(|_| AuditError::UnknownEdge(x.edge))?;
@@ -543,7 +544,7 @@ pub fn audit_plan(
     }
 
     // ---- dependency consistency under the retiming --------------------
-    for t in plan.tasks() {
+    for t in &tasks {
         for &e in graph
             .in_edges(t.node)
             .map_err(|_| AuditError::UnknownNode(t.node))?
@@ -601,8 +602,8 @@ pub fn audit_plan(
 
     Ok(AuditReport {
         iterations,
-        tasks: plan.tasks().len() as u64,
-        transfers: plan.transfers().len() as u64,
+        tasks: tasks.len() as u64,
+        transfers: transfers.len() as u64,
         cached_transfers: cached,
         edram_transfers: edram,
         makespan: plan.makespan(),

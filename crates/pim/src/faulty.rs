@@ -1,9 +1,8 @@
 //! Fault-injected plan replay.
 //!
 //! [`simulate_with_faults`] first validates the plan through the
-//! ordinary fault-free [`crate::sim::replay`] pass (which takes its
-//! batched repeated-block fast path whenever the plan is periodic —
-//! fault injection changes nothing about validation), then re-times it
+//! ordinary fault-free [`crate::sim::replay`] pass (fault injection
+//! changes nothing about validation), then re-times it
 //! under a seeded [`FaultSpec`] with a *self-timed* sweep: every task
 //! and transfer starts at the later of its planned start and the
 //! achieved finish of everything it depends on (producer, input
@@ -37,16 +36,19 @@
 //! times: vault-side buffering absorbs the jitter, so a fault
 //! campaign degrades *when* data moves, not *whether* it fits.
 //!
-//! The self-timed fault sweep itself always walks per event — injected
-//! delays differ between iterations, so repeated blocks stop being
-//! copies of each other the moment a fault lands.
+//! The self-timed fault sweep itself always walks the expanded plan
+//! per event — injected delays differ between iterations, so repeated
+//! iterations stop being copies of each other the moment a fault
+//! lands.
 
 use std::collections::HashMap;
 
 use paraconv_fault::{metrics, FaultSpec};
 use paraconv_graph::{Placement, TaskGraph};
 
-use crate::{CostModel, ExecutionPlan, PimConfig, SimError, SimReport};
+use crate::{
+    CostModel, ExecutionPlan, PimConfig, PlannedTask, PlannedTransfer, SimError, SimReport,
+};
 
 /// What a fault campaign did to one replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -119,26 +121,27 @@ pub(crate) fn perturb(
 
     // Planned-start order is dependency-consistent (see the module
     // docs); the sort key is total, so the pass is deterministic.
+    let tasks: Vec<PlannedTask> = plan.tasks().collect();
+    let transfers: Vec<PlannedTransfer> = plan.transfers().collect();
     let mut events: Vec<(u64, u8, usize)> =
-        Vec::with_capacity(plan.tasks().len().saturating_add(plan.transfers().len()));
-    for (idx, t) in plan.tasks().iter().enumerate() {
+        Vec::with_capacity(tasks.len().saturating_add(transfers.len()));
+    for (idx, t) in tasks.iter().enumerate() {
         events.push((t.start, KIND_TASK, idx));
     }
-    for (idx, x) in plan.transfers().iter().enumerate() {
+    for (idx, x) in transfers.iter().enumerate() {
         events.push((x.start, KIND_TRANSFER, idx));
     }
     events.sort_unstable();
 
-    let mut task_finish: HashMap<(usize, u64), u64> = HashMap::with_capacity(plan.tasks().len());
-    let mut transfer_finish: HashMap<(usize, u64), u64> =
-        HashMap::with_capacity(plan.transfers().len());
+    let mut task_finish: HashMap<(usize, u64), u64> = HashMap::with_capacity(tasks.len());
+    let mut transfer_finish: HashMap<(usize, u64), u64> = HashMap::with_capacity(transfers.len());
     let mut pe_avail: Vec<u64> = vec![0; config.num_pes()];
     let mut achieved = 0u64;
 
     for (_, kind, idx) in events {
         if kind == KIND_TRANSFER {
             // idx enumerated from this very vector above, so the index is in bounds
-            let x = &plan.transfers()[idx];
+            let x = &transfers[idx];
             let ipr = graph
                 .edge(x.edge)
                 .map_err(|_| SimError::UnknownEdge(x.edge))?;
@@ -229,7 +232,7 @@ pub(crate) fn perturb(
             achieved = achieved.max(finish);
         } else {
             // idx enumerated from this very vector above, so the index is in bounds
-            let t = &plan.tasks()[idx];
+            let t = &tasks[idx];
             // PE ids are validated by the replay pass before perturb runs
             let mut start = t.start.max(pe_avail[t.pe.index()]);
             for &e in graph

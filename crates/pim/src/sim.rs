@@ -1,6 +1,6 @@
 //! The execution-plan simulator.
 //!
-//! [`simulate`] replays a fully concrete [`ExecutionPlan`] on the
+//! [`simulate`] replays an [`ExecutionPlan`] on the
 //! architecture described by a [`PimConfig`], validating every
 //! architectural constraint and producing a [`SimReport`]:
 //!
@@ -14,17 +14,17 @@
 //! * cache-resident IPRs never exceed the aggregate on-chip capacity;
 //! * in-flight transfers to one PE never exceed its iFIFO depth.
 //!
-//! Replay is two-mode. Plans whose iteration blocks repeat with a
-//! uniform time shift — the shape every retimed schedule has, because
-//! iteration `ℓ` is iteration `ℓ-u` shifted by one unrolled period —
-//! are replayed block-at-a-time: each repeated block inherits the
-//! structural validation of the block one unroll period earlier and
-//! bulk-appends that block's sweep events with the shift applied.
-//! Everything else takes the exact per-event pass. Both paths feed the
-//! same sorted struct-of-arrays event lanes and produce identical
-//! reports; PE-interval exclusivity is established by one global sorted
-//! sweep over packed `(pe, start, index)` keys rather than per-event
-//! interval insertion.
+//! Replay follows the plan's type. Every per-task and per-transfer
+//! check runs once, over the plan's stored instances: all of an
+//! explicit plan, or the block of iterations `1..=u` plus any explicit
+//! tail of a periodic one. A periodic plan's repeated iterations are
+//! the block shifted by whole periods, so every intra-iteration
+//! relation the checks prove carries over unchanged; those iterations
+//! only re-apply the block's accounting and sweep events with their
+//! shift. What spans iterations is swept
+//! over every instance: PE-interval exclusivity by one global sort of
+//! packed `(pe, start, index)` keys, and cache, iFIFO and vault
+//! occupancy through sorted struct-of-arrays event lanes.
 //!
 //! The simulator is the ground truth for the evaluation: both SPARTA
 //! and Para-CONV plans are replayed here, so reported improvements are
@@ -35,7 +35,9 @@ use std::collections::HashMap;
 use paraconv_graph::{Placement, TaskGraph};
 
 use crate::pe::RecordError;
-use crate::{CostModel, ExecutionPlan, Pe, PeId, PimConfig, SimError, SimReport, VaultArray};
+use crate::{
+    CostModel, ExecutionPlan, Pe, PeId, PimConfig, PlannedTransfer, SimError, SimReport, VaultArray,
+};
 
 /// Cap on the dense instance-index footprint. Real plans are far
 /// below this (the largest benchmark is ~546 nodes × 51 iteration
@@ -44,19 +46,12 @@ use crate::{CostModel, ExecutionPlan, Pe, PeId, PimConfig, SimError, SimReport, 
 /// allocating `keys × iterations` slots.
 const MAX_DENSE_INDEX: u128 = 1 << 26;
 
-/// Deepest repeat period probed when matching iteration blocks.
-/// Retimed plans repeat with the kernel unroll factor `u` (a handful at
-/// most), so probing small strides finds the period without an
-/// `O(blocks²)` search; plans with a longer period simply replay
-/// block-by-block through the exact checks.
-const MAX_BATCH_STRIDE: usize = 16;
-
 /// Positional index over `(dense key, iteration)` instance pairs.
 ///
 /// The simulator previously used `HashMap<(NodeId, u64), usize>` /
 /// `HashMap<(EdgeId, u64), usize>` here; since node and edge ids are
-/// dense and plans cover iterations `1..=iterations`, a flat
-/// `Vec<usize>` keyed `key * (iterations + 1) + iteration` answers
+/// dense and a plan's block covers iterations `1..=n`, a flat
+/// `Vec<usize>` keyed `key * (n + 1) + iteration` answers
 /// the same lookups without hashing. Iterations outside the declared
 /// range (or any iteration, when the declared range is implausibly
 /// large) spill to a small `HashMap` so behaviour is unchanged for
@@ -134,9 +129,7 @@ impl InstanceIndex {
 /// high 64 bits, the delta sign-flipped below it — keeps the exact
 /// same order (`sort_unstable` on the keys equals `sort_by_key` on
 /// `(t, delta)` because the sign flip is order-preserving for `i64`)
-/// while sorting a flat scalar array and letting repeated iteration
-/// blocks append a whole block of events with `extend_from_within`
-/// plus one add.
+/// while sorting a flat scalar array.
 struct EventLane {
     keys: Vec<u128>,
 }
@@ -157,21 +150,6 @@ impl EventLane {
     fn push(&mut self, time: u64, delta: i64) {
         self.keys
             .push((u128::from(time) << 64) | u128::from((delta as u64) ^ Self::SIGN_FLIP));
-    }
-
-    /// Re-appends the events in `range`, each shifted `shift` time
-    /// units later, and returns the new segment's range. Shifted times
-    /// are real plan times of the repeated block, so the add cannot
-    /// overflow out of the high half.
-    fn extend_shifted(&mut self, range: (usize, usize), shift: u64) -> (usize, usize) {
-        let start = self.keys.len();
-        self.keys.extend_from_within(range.0..range.1);
-        let add = u128::from(shift) << 64;
-        // lint: allow(unchecked-index) — the slice starts at the old length, still in bounds
-        for key in &mut self.keys[start..] {
-            *key += add;
-        }
-        (start, self.keys.len())
     }
 
     fn keys(&self) -> &[u128] {
@@ -278,101 +256,10 @@ fn bucketed_peak(
     (!rerun).then_some(peak)
 }
 
-/// Shape of a plan whose tasks and transfers are grouped into one
-/// block per iteration, with block `b` repeating block `b - stride`
-/// under a uniform time shift.
-struct BatchLayout {
-    /// Tasks per iteration block.
-    tpb: usize,
-    /// Transfers per iteration block.
-    xpb: usize,
-    /// Repeat period in blocks (the kernel unroll factor for
-    /// scheduler-emitted plans).
-    stride: usize,
-}
-
-/// Probes `plan` for the batched-replay shape: at least two iterations,
-/// task/transfer counts divisible into per-iteration blocks, block `b`
-/// holding exactly iteration `b + 1`, and some stride at which block
-/// `stride` repeats block 0 shifted. Returns `None` for anything else,
-/// which then replays through the exact per-event pass.
-fn detect_layout(plan: &ExecutionPlan) -> Option<BatchLayout> {
-    let iterations = plan.iterations();
-    if iterations < 2 {
-        return None;
-    }
-    let blocks = usize::try_from(iterations).ok()?;
-    let tasks = plan.tasks();
-    let transfers = plan.transfers();
-    if tasks.is_empty()
-        || !tasks.len().is_multiple_of(blocks)
-        || !transfers.len().is_multiple_of(blocks)
-    {
-        return None;
-    }
-    let tpb = tasks.len() / blocks;
-    let xpb = transfers.len() / blocks;
-    for (b, blk) in tasks.chunks_exact(tpb).enumerate() {
-        let iter = b as u64 + 1;
-        if blk.iter().any(|t| t.iteration != iter) {
-            return None;
-        }
-    }
-    if xpb > 0 {
-        for (b, blk) in transfers.chunks_exact(xpb).enumerate() {
-            let iter = b as u64 + 1;
-            if blk.iter().any(|x| x.iteration != iter) {
-                return None;
-            }
-        }
-    }
-    let max_stride = MAX_BATCH_STRIDE.min(blocks - 1);
-    (1..=max_stride)
-        .find(|&u| {
-            // lint: allow(unchecked-index) — u ≤ blocks - 1, so both chunks are in range
-            task_block_delta(&tasks[..tpb], &tasks[u * tpb..(u + 1) * tpb]).is_some()
-        })
-        .map(|stride| BatchLayout { tpb, xpb, stride })
-}
-
-/// The uniform shift `delta` such that `blk` is `base` with every
-/// start moved `delta` later and all other fields equal, if one
-/// exists. Iteration fields are already constrained by the layout
-/// prescan, so they are not compared here.
-fn task_block_delta(base: &[crate::PlannedTask], blk: &[crate::PlannedTask]) -> Option<u64> {
-    let delta = blk.first()?.start.checked_sub(base.first()?.start)?;
-    base.iter()
-        .zip(blk)
-        .all(|(p, t)| {
-            t.node == p.node
-                && t.pe == p.pe
-                && t.duration == p.duration
-                && p.start.checked_add(delta) == Some(t.start)
-        })
-        .then_some(delta)
-}
-
-/// Whether `blk` is `base` shifted by exactly `delta` — the same shift
-/// its task block matched with, so producer/consumer timing relations
-/// are preserved verbatim.
-fn transfer_block_matches(
-    base: &[crate::PlannedTransfer],
-    blk: &[crate::PlannedTransfer],
-    delta: u64,
-) -> bool {
-    base.iter().zip(blk).all(|(p, x)| {
-        x.edge == p.edge
-            && x.placement == p.placement
-            && x.dst_pe == p.dst_pe
-            && x.duration == p.duration
-            && p.start.checked_add(delta) == Some(x.start)
-    })
-}
-
-/// Packs a task interval into one sortable key: PE above start above
-/// the task's plan index (tie-break, and the handle back to the task).
-/// Plan vectors are far below 2³² entries, so the index fits the low
-/// 32 bits.
+/// Packs a task instance into one sortable key: PE above start above
+/// the task's block index (tie-break, and the handle back to its
+/// duration). Blocks are far below 2³² entries, so the index fits the
+/// low 32 bits.
 fn pack_interval(pe: PeId, start: u64, idx: usize) -> u128 {
     ((pe.index() as u128) << 96) | (u128::from(start) << 32) | idx as u128
 }
@@ -422,8 +309,8 @@ pub fn simulate(
     Ok(report)
 }
 
-/// Everything the two replay passes accumulate before the shared
-/// sweeps and statistics.
+/// Everything the replay pass accumulates before the sweeps and
+/// statistics.
 struct ReplayState {
     /// Per-PE busy time.
     busy: Vec<u64>,
@@ -440,7 +327,7 @@ struct ReplayState {
     fifo_lanes: Vec<EventLane>,
     /// Per-vault in-flight transfer events for the contention stat.
     vault_lanes: Vec<EventLane>,
-    /// Iteration blocks replayed fully batched (tasks and transfers).
+    /// Iterations replayed as shifted copies of the block.
     batched_steps: u64,
 }
 
@@ -460,6 +347,49 @@ impl ReplayState {
             batched_steps: 0,
         }
     }
+
+    /// Applies one transfer instance — block transfer `x`, moved
+    /// `shift` time units later — to the accounting and sweep lanes.
+    fn record_transfer(&mut self, x: &PlannedTransfer, derived: &TransferCost, shift: u64) {
+        let size = derived.size;
+        self.transfer_energy += derived.energy;
+        paraconv_obs::observe("sim.transfer.latency", x.duration);
+        match x.placement {
+            Placement::Cache => {
+                self.onchip_hits += 1;
+                self.onchip_units += size;
+                // Cache residency: production until the transfer drains.
+                self.cache_lane
+                    .push(derived.producer_finish + shift, size as i64);
+                self.cache_lane.push(x.finish() + shift, -(size as i64));
+            }
+            Placement::Edram => {
+                self.offchip_fetches += 1;
+                self.offchip_units += size;
+                self.vaults.record_fetch(x.edge, size, x.duration);
+                let v = self.vaults.vault_of(x.edge);
+                // lint: allow(unchecked-index) — vault_of is modulo the vault count
+                self.vault_lanes[v].push(x.start + shift, 1);
+                // lint: allow(unchecked-index) — vault_of is modulo the vault count
+                self.vault_lanes[v].push(x.finish() + shift, -1);
+            }
+        }
+        // lint: allow(unchecked-index) — dst_pe was bounds-checked by the transfer checks
+        self.fifo_lanes[x.dst_pe.index()].push(x.start + shift, 1);
+        // lint: allow(unchecked-index) — dst_pe was bounds-checked by the transfer checks
+        self.fifo_lanes[x.dst_pe.index()].push(x.finish() + shift, -1);
+    }
+}
+
+/// What the checks derived for one block transfer, reused by every
+/// repeat of it.
+struct TransferCost {
+    /// The IPR's size in capacity units.
+    size: u64,
+    /// Transfer energy under the planned placement.
+    energy: u64,
+    /// The producer instance's finish time.
+    producer_finish: u64,
 }
 
 /// The fault-free validation and replay pass behind [`simulate`]; the
@@ -473,34 +403,17 @@ pub(crate) fn replay(
     let _span = paraconv_obs::span("pim.simulate", "pim");
     let cost = CostModel::new(config, graph.edge_count());
     let mut state = ReplayState::new(config);
-    match detect_layout(plan) {
-        Some(layout) => replay_batched(graph, plan, config, &cost, &layout, &mut state)?,
-        None => replay_exact(graph, plan, config, &cost, &mut state)?,
-    }
-    finish(plan, config, state)
-}
+    let (tasks, transfers) = plan.stored();
+    let last_stored = plan.stored_iterations().next_back().unwrap_or(0);
+    let num_pes = config.num_pes();
 
-/// The exact per-event pass: every task and transfer walks the full
-/// check sequence individually. Used whenever the plan does not have
-/// the repeating-block shape.
-fn replay_exact(
-    graph: &TaskGraph,
-    plan: &ExecutionPlan,
-    config: &PimConfig,
-    cost: &CostModel,
-    state: &mut ReplayState,
-) -> Result<(), SimError> {
-    let mut pes: Vec<Pe> = (0..config.num_pes())
-        .map(|i| Pe::new(PeId::new(i as u32)))
-        .collect();
-
-    // ---- index and validate tasks -------------------------------------
-    let mut task_index = InstanceIndex::new(graph.node_count(), plan.iterations());
-    for (idx, t) in plan.tasks().iter().enumerate() {
+    // ---- task checks (stored) ------------------------------------------
+    let mut task_index = InstanceIndex::new(graph.node_count(), last_stored);
+    for (idx, t) in tasks.iter().enumerate() {
         let node = graph
             .node(t.node)
             .map_err(|_| SimError::UnknownNode(t.node))?;
-        if t.pe.index() >= config.num_pes() {
+        if t.pe.index() >= num_pes {
             return Err(SimError::UnknownPe(t.pe));
         }
         if config.is_pe_failed(t.pe.index() as u32) {
@@ -523,32 +436,50 @@ fn replay_exact(
         {
             return Err(SimError::DuplicateTask(t.node, t.iteration));
         }
-        // lint: allow(unchecked-index) — ids are validated against the plan before the event loop starts
-        match pes[t.pe.index()].record_task(t.start, t.finish()) {
-            Ok(()) => {}
-            Err(RecordError::EmptyInterval) => {
-                return Err(SimError::EmptyTaskInterval {
-                    node: t.node,
-                    iteration: t.iteration,
-                });
-            }
-            Err(RecordError::Overlap) => {
-                return Err(SimError::PeConflict {
-                    pe: t.pe,
-                    node: t.node,
-                    iteration: t.iteration,
-                });
-            }
-        }
     }
 
-    // ---- index and validate transfers ----------------------------------
-    let mut transfer_index = InstanceIndex::new(graph.edge_count(), plan.iterations());
-    for (idx, x) in plan.transfers().iter().enumerate() {
+    // ---- PE-interval sweep (every instance) --------------------------------
+    // One packed (pe, start, block index) key per instance; one sort
+    // and a per-PE running-max scan decide whether ANY empty or
+    // overlapping interval exists, and only then is the plan replayed
+    // task-by-task in plan order to recover the canonical first error.
+    let mut intervals: Vec<u128> = Vec::with_capacity(plan.tasks().len());
+    for (range, _, shift) in plan.runs(tasks) {
+        // lint: allow(unchecked-index) — runs() ranges lie inside the stored list
+        for (j, t) in tasks[range.clone()].iter().enumerate() {
+            intervals.push(pack_interval(t.pe, t.start + shift, range.start + j));
+            // lint: allow(unchecked-index) — t.pe was bounds-checked by the task checks
+            state.busy[t.pe.index()] += t.duration;
+        }
+    }
+    intervals.sort_unstable();
+    let mut prev_pe = u128::MAX;
+    let mut max_finish = 0u64;
+    for &key in &intervals {
+        let pe = key >> 96;
+        let start = (key >> 32) as u64;
+        // lint: allow(unchecked-index) — the index was packed from this very list
+        let finish = start + tasks[(key & 0xFFFF_FFFF) as usize].duration;
+        if finish <= start || (pe == prev_pe && start < max_finish) {
+            return Err(first_interval_error(plan, config));
+        }
+        if pe == prev_pe {
+            max_finish = max_finish.max(finish);
+        } else {
+            prev_pe = pe;
+            max_finish = finish;
+        }
+    }
+    paraconv_obs::counter_add("pe.tasks_recorded", intervals.len() as u64);
+
+    // ---- transfer checks (stored) ------------------------------------------
+    let mut transfer_index = InstanceIndex::new(graph.edge_count(), last_stored);
+    let mut costs: Vec<TransferCost> = Vec::with_capacity(transfers.len());
+    for (idx, x) in transfers.iter().enumerate() {
         let ipr = graph
             .edge(x.edge)
             .map_err(|_| SimError::UnknownEdge(x.edge))?;
-        if x.dst_pe.index() >= config.num_pes() {
+        if x.dst_pe.index() >= num_pes {
             return Err(SimError::UnknownPe(x.dst_pe));
         }
         if transfer_index
@@ -568,50 +499,31 @@ fn replay_exact(
         // Producer must exist and finish before the transfer starts.
         let producer = task_index
             .get(ipr.src().index(), x.iteration)
-            // lint: allow(unchecked-index) — ids are validated against the plan before the event loop starts
-            .map(|i| &plan.tasks()[i])
+            // lint: allow(unchecked-index) — indices come from the task checks above
+            .map(|i| &tasks[i])
             .ok_or(SimError::MissingProducer(ipr.src(), x.iteration))?;
         if x.start < producer.finish() {
             return Err(SimError::TransferBeforeProduction(x.edge, x.iteration));
         }
-
-        state.transfer_energy += cost.transfer_energy(ipr.size(), x.placement);
-        paraconv_obs::observe("sim.transfer.latency", x.duration);
-        match x.placement {
-            Placement::Cache => {
-                state.onchip_hits += 1;
-                state.onchip_units += ipr.size();
-                // Cache residency: production until the transfer drains.
-                state.cache_lane.push(producer.finish(), ipr.size() as i64);
-                state.cache_lane.push(x.finish(), -(ipr.size() as i64));
-            }
-            Placement::Edram => {
-                state.offchip_fetches += 1;
-                state.offchip_units += ipr.size();
-                state.vaults.record_fetch(x.edge, ipr.size(), x.duration);
-                let v = state.vaults.vault_of(x.edge);
-                // lint: allow(unchecked-index) — ids are validated against the plan before the event loop starts
-                state.vault_lanes[v].push(x.start, 1);
-                // lint: allow(unchecked-index) — ids are validated against the plan before the event loop starts
-                state.vault_lanes[v].push(x.finish(), -1);
-            }
-        }
-        // lint: allow(unchecked-index) — ids are validated against the plan before the event loop starts
-        state.fifo_lanes[x.dst_pe.index()].push(x.start, 1);
-        // lint: allow(unchecked-index) — ids are validated against the plan before the event loop starts
-        state.fifo_lanes[x.dst_pe.index()].push(x.finish(), -1);
+        let derived = TransferCost {
+            size: ipr.size(),
+            energy: cost.transfer_energy(ipr.size(), x.placement),
+            producer_finish: producer.finish(),
+        };
+        state.record_transfer(x, &derived, 0);
+        costs.push(derived);
     }
 
-    // ---- dependency coverage -------------------------------------------
-    for t in plan.tasks() {
+    // ---- dependency coverage (stored) --------------------------------------
+    for t in tasks {
         for &e in graph
             .in_edges(t.node)
             .map_err(|_| SimError::UnknownNode(t.node))?
         {
             let x = transfer_index
                 .get(e.index(), t.iteration)
-                // lint: allow(unchecked-index) — ids are validated against the plan before the event loop starts
-                .map(|i| &plan.transfers()[i])
+                // lint: allow(unchecked-index) — indices come from the transfer checks above
+                .map(|i| &transfers[i])
                 .ok_or(SimError::MissingTransfer(e, t.iteration))?;
             if x.finish() > t.start {
                 return Err(SimError::ConsumerBeforeTransfer(e, t.iteration));
@@ -628,9 +540,9 @@ fn replay_exact(
     }
 
     // ---- completeness ------------------------------------------------------
-    // The plan declares coverage of `iterations` iterations; every
-    // `(node, iteration)` instance must therefore be present.
-    for iter in 1..=plan.iterations() {
+    // The block must hold every `(node, iteration)` instance of its
+    // iterations; a periodic plan's repeats then hold the rest.
+    for iter in plan.stored_iterations() {
         for id in graph.node_ids() {
             if !task_index.contains(id.index(), iter) {
                 return Err(SimError::MissingTask(id, iter));
@@ -638,403 +550,26 @@ fn replay_exact(
         }
     }
 
-    for (i, pe) in pes.iter().enumerate() {
-        // lint: allow(unchecked-index) — busy was sized to num_pes alongside pes
-        state.busy[i] = pe.busy_time();
+    // ---- repeated iterations -----------------------------------------------
+    for (range, shift) in plan.repeats(transfers) {
+        // lint: allow(unchecked-index) — repeats() ranges lie inside the stored list
+        for (x, derived) in transfers[range.clone()].iter().zip(&costs[range]) {
+            state.record_transfer(x, derived, shift);
+        }
     }
-    Ok(())
+    state.batched_steps = plan.repeated_iterations();
+    finish(plan, config, state)
 }
 
-/// Per-block transfer accounting: the scalar sums and event-lane
-/// segments one iteration block contributed, kept in a ring of
-/// `stride` slots so a repeated block can re-apply its base block's
-/// contribution in O(events-per-block) without re-deriving costs.
-struct XferAcct {
-    energy: u64,
-    onchip_hits: u64,
-    onchip_units: u64,
-    offchip_fetches: u64,
-    offchip_units: u64,
-    /// Per touched vault: (vault, fetches, units, busy time).
-    vault_deltas: Vec<(usize, u64, u64, u64)>,
-    cache_range: (usize, usize),
-    fifo_ranges: Vec<(usize, usize)>,
-    vault_ranges: Vec<(usize, usize)>,
-}
-
-impl XferAcct {
-    fn new(num_pes: usize, vaults: usize) -> Self {
-        XferAcct {
-            energy: 0,
-            onchip_hits: 0,
-            onchip_units: 0,
-            offchip_fetches: 0,
-            offchip_units: 0,
-            vault_deltas: Vec::new(),
-            cache_range: (0, 0),
-            fifo_ranges: vec![(0, 0); num_pes],
-            vault_ranges: vec![(0, 0); vaults],
-        }
-    }
-}
-
-/// The batched pass for plans with the repeating-block shape (see
-/// [`detect_layout`]). Blocks that repeat an earlier block under a
-/// uniform shift inherit its validation; the rest run the same checks
-/// as the exact pass, block by block.
-fn replay_batched(
-    graph: &TaskGraph,
-    plan: &ExecutionPlan,
-    config: &PimConfig,
-    cost: &CostModel,
-    layout: &BatchLayout,
-    state: &mut ReplayState,
-) -> Result<(), SimError> {
-    let &BatchLayout { tpb, xpb, stride } = layout;
-    let tasks = plan.tasks();
-    let transfers = plan.transfers();
-    let blocks = tasks.len() / tpb;
-    let num_pes = config.num_pes();
-
-    // ---- task pass -----------------------------------------------------
-    let mut task_index = InstanceIndex::new(graph.node_count(), plan.iterations());
-    let mut intervals: Vec<u128> = Vec::with_capacity(tasks.len());
-    let mut task_delta: Vec<Option<u64>> = vec![None; blocks];
-    // Ring of per-PE busy-time contributions, one slot per stride
-    // position, refreshed whenever a block walks the slow path.
-    let mut busy_ring: Vec<Vec<u64>> = vec![Vec::new(); stride];
-    for b in 0..blocks {
-        // lint: allow(unchecked-index) — blocks × tpb == tasks.len() by construction
-        let blk = &tasks[b * tpb..(b + 1) * tpb];
-        let delta = b.checked_sub(stride).and_then(|base| {
-            // lint: allow(unchecked-index) — base < b < blocks keeps the chunk in range
-            task_block_delta(&tasks[base * tpb..(base + 1) * tpb], blk)
-        });
-        if let Some(delta) = delta {
-            // Fast block: node/PE/duration equal an already validated
-            // block, so the per-task structural checks would repeat its
-            // verdicts; only instance uniqueness, busy accounting and
-            // the global interval sweep below still apply.
-            for (i, t) in blk.iter().enumerate() {
-                if task_index
-                    .insert(t.node.index(), t.iteration, b * tpb + i)
-                    .is_some()
-                {
-                    return Err(SimError::DuplicateTask(t.node, t.iteration));
-                }
-                intervals.push(pack_interval(t.pe, t.start, b * tpb + i));
-            }
-            // lint: allow(unchecked-index) — ring is stride slots, index is mod stride
-            for (pe, add) in busy_ring[b % stride].iter().enumerate() {
-                // lint: allow(unchecked-index) — ring rows are sized to num_pes
-                state.busy[pe] += *add;
-            }
-            // lint: allow(unchecked-index) — b < blocks, the length task_delta was sized to
-            task_delta[b] = Some(delta);
-        } else {
-            let mut block_busy = vec![0u64; num_pes];
-            for (i, t) in blk.iter().enumerate() {
-                let node = graph
-                    .node(t.node)
-                    .map_err(|_| SimError::UnknownNode(t.node))?;
-                if t.pe.index() >= num_pes {
-                    return Err(SimError::UnknownPe(t.pe));
-                }
-                if config.is_pe_failed(t.pe.index() as u32) {
-                    return Err(SimError::TaskOnFailedPe {
-                        pe: t.pe,
-                        node: t.node,
-                        iteration: t.iteration,
-                    });
-                }
-                if t.duration != node.exec_time() {
-                    return Err(SimError::WrongTaskDuration {
-                        node: t.node,
-                        planned: t.duration,
-                        expected: node.exec_time(),
-                    });
-                }
-                if task_index
-                    .insert(t.node.index(), t.iteration, b * tpb + i)
-                    .is_some()
-                {
-                    return Err(SimError::DuplicateTask(t.node, t.iteration));
-                }
-                // lint: allow(unchecked-index) — t.pe was bounds-checked just above
-                block_busy[t.pe.index()] += t.duration;
-                // lint: allow(unchecked-index) — t.pe was bounds-checked just above
-                state.busy[t.pe.index()] += t.duration;
-                intervals.push(pack_interval(t.pe, t.start, b * tpb + i));
-            }
-            // lint: allow(unchecked-index) — ring is stride slots, index is mod stride
-            busy_ring[b % stride] = block_busy;
-        }
-    }
-
-    // ---- deferred PE-interval sweep --------------------------------------
-    // The exact pass records each task on its PE as it walks the plan,
-    // failing at the first empty or overlapping interval. Here every
-    // block contributed packed (pe, start, idx) keys instead; one sort
-    // and a per-PE running-max scan decides whether ANY violation
-    // exists, and only then is the plan replayed task-by-task to
-    // recover the canonical first error. On a plan combining an
-    // interval violation with a later structural error the two passes
-    // can surface different (each correct) first diagnoses; scheduler
-    // output is never doubly invalid like that.
-    intervals.sort_unstable();
-    let mut prev_pe = u128::MAX;
-    let mut max_finish = 0u64;
-    let mut violated = false;
-    for &key in &intervals {
-        let pe = key >> 96;
-        let idx = (key & 0xFFFF_FFFF) as usize;
-        // lint: allow(unchecked-index) — idx was packed from this very task list
-        let t = &tasks[idx];
-        let finish = t.finish();
-        if finish <= t.start || (pe == prev_pe && t.start < max_finish) {
-            violated = true;
-            break;
-        }
-        if pe == prev_pe {
-            max_finish = max_finish.max(finish);
-        } else {
-            prev_pe = pe;
-            max_finish = finish;
-        }
-    }
-    if violated {
-        return Err(first_interval_error(plan, config));
-    }
-    paraconv_obs::counter_add("pe.tasks_recorded", tasks.len() as u64);
-
-    // ---- transfer pass ---------------------------------------------------
-    let mut transfer_index = InstanceIndex::new(graph.edge_count(), plan.iterations());
-    let mut xfer_matched = vec![false; blocks];
-    if xpb == 0 {
-        for (b, matched) in xfer_matched.iter_mut().enumerate() {
-            // lint: allow(unchecked-index) — task_delta is one slot per block
-            *matched = task_delta[b].is_some();
-        }
-    } else {
-        let mut xfer_ring: Vec<XferAcct> = (0..stride)
-            .map(|_| XferAcct::new(num_pes, config.vaults()))
-            .collect();
-        for b in 0..blocks {
-            // lint: allow(unchecked-index) — blocks × xpb == transfers.len() by construction
-            let blk = &transfers[b * xpb..(b + 1) * xpb];
-            // lint: allow(unchecked-index) — task_delta is one slot per block
-            let fast = task_delta[b].and_then(|d| {
-                b.checked_sub(stride).and_then(|base| {
-                    // lint: allow(unchecked-index) — base < b < blocks keeps the chunk in range
-                    transfer_block_matches(&transfers[base * xpb..(base + 1) * xpb], blk, d)
-                        .then_some(d)
-                })
-            });
-            if let Some(delta) = fast {
-                // Fast block: costs, placements and relative timings
-                // equal the base block's, so its accounting re-applies
-                // with every event shifted by `delta`.
-                for (i, x) in blk.iter().enumerate() {
-                    if transfer_index
-                        .insert(x.edge.index(), x.iteration, b * xpb + i)
-                        .is_some()
-                    {
-                        return Err(SimError::DuplicateTransfer(x.edge, x.iteration));
-                    }
-                }
-                if paraconv_obs::enabled() {
-                    for x in blk {
-                        paraconv_obs::observe("sim.transfer.latency", x.duration);
-                    }
-                }
-                // lint: allow(unchecked-index) — ring is stride slots, index is mod stride
-                let acct = &mut xfer_ring[b % stride];
-                state.transfer_energy += acct.energy;
-                state.onchip_hits += acct.onchip_hits;
-                state.onchip_units += acct.onchip_units;
-                state.offchip_fetches += acct.offchip_fetches;
-                state.offchip_units += acct.offchip_units;
-                for &(vault, fetches, units, busy) in &acct.vault_deltas {
-                    state
-                        .vaults
-                        .record_fetches_bulk(vault, fetches, units, busy);
-                }
-                acct.cache_range = state.cache_lane.extend_shifted(acct.cache_range, delta);
-                for (pe, range) in acct.fifo_ranges.iter_mut().enumerate() {
-                    if range.0 != range.1 {
-                        // lint: allow(unchecked-index) — one lane per PE by construction
-                        *range = state.fifo_lanes[pe].extend_shifted(*range, delta);
-                    }
-                }
-                for (v, range) in acct.vault_ranges.iter_mut().enumerate() {
-                    if range.0 != range.1 {
-                        // lint: allow(unchecked-index) — one lane per vault by construction
-                        *range = state.vault_lanes[v].extend_shifted(*range, delta);
-                    }
-                }
-                // lint: allow(unchecked-index) — xfer_matched is one slot per block
-                xfer_matched[b] = true;
-            } else {
-                let mut acct = XferAcct::new(num_pes, config.vaults());
-                acct.cache_range.0 = state.cache_lane.len();
-                for (pe, range) in acct.fifo_ranges.iter_mut().enumerate() {
-                    // lint: allow(unchecked-index) — one lane per PE by construction
-                    range.0 = state.fifo_lanes[pe].len();
-                }
-                for (v, range) in acct.vault_ranges.iter_mut().enumerate() {
-                    // lint: allow(unchecked-index) — one lane per vault by construction
-                    range.0 = state.vault_lanes[v].len();
-                }
-                let mut vault_sums: Vec<(u64, u64, u64)> = vec![(0, 0, 0); config.vaults()];
-                for (i, x) in blk.iter().enumerate() {
-                    let ipr = graph
-                        .edge(x.edge)
-                        .map_err(|_| SimError::UnknownEdge(x.edge))?;
-                    if x.dst_pe.index() >= num_pes {
-                        return Err(SimError::UnknownPe(x.dst_pe));
-                    }
-                    if transfer_index
-                        .insert(x.edge.index(), x.iteration, b * xpb + i)
-                        .is_some()
-                    {
-                        return Err(SimError::DuplicateTransfer(x.edge, x.iteration));
-                    }
-                    let required = cost.transfer_time(ipr.size(), x.placement);
-                    if x.duration < required {
-                        return Err(SimError::TransferTooShort {
-                            edge: x.edge,
-                            planned: x.duration,
-                            required,
-                        });
-                    }
-                    let producer = task_index
-                        .get(ipr.src().index(), x.iteration)
-                        // lint: allow(unchecked-index) — indices come from the task pass above
-                        .map(|i| &tasks[i])
-                        .ok_or(SimError::MissingProducer(ipr.src(), x.iteration))?;
-                    if x.start < producer.finish() {
-                        return Err(SimError::TransferBeforeProduction(x.edge, x.iteration));
-                    }
-                    let energy = cost.transfer_energy(ipr.size(), x.placement);
-                    state.transfer_energy += energy;
-                    acct.energy += energy;
-                    paraconv_obs::observe("sim.transfer.latency", x.duration);
-                    match x.placement {
-                        Placement::Cache => {
-                            state.onchip_hits += 1;
-                            state.onchip_units += ipr.size();
-                            acct.onchip_hits += 1;
-                            acct.onchip_units += ipr.size();
-                            state.cache_lane.push(producer.finish(), ipr.size() as i64);
-                            state.cache_lane.push(x.finish(), -(ipr.size() as i64));
-                        }
-                        Placement::Edram => {
-                            state.offchip_fetches += 1;
-                            state.offchip_units += ipr.size();
-                            acct.offchip_fetches += 1;
-                            acct.offchip_units += ipr.size();
-                            state.vaults.record_fetch(x.edge, ipr.size(), x.duration);
-                            let v = state.vaults.vault_of(x.edge);
-                            // lint: allow(unchecked-index) — vault_of is modulo the vault count
-                            vault_sums[v].0 += 1;
-                            // lint: allow(unchecked-index) — vault_of is modulo the vault count
-                            vault_sums[v].1 += ipr.size();
-                            // lint: allow(unchecked-index) — vault_of is modulo the vault count
-                            vault_sums[v].2 += x.duration;
-                            // lint: allow(unchecked-index) — vault_of is modulo the vault count
-                            state.vault_lanes[v].push(x.start, 1);
-                            // lint: allow(unchecked-index) — vault_of is modulo the vault count
-                            state.vault_lanes[v].push(x.finish(), -1);
-                        }
-                    }
-                    // lint: allow(unchecked-index) — x.dst_pe was bounds-checked just above
-                    state.fifo_lanes[x.dst_pe.index()].push(x.start, 1);
-                    // lint: allow(unchecked-index) — x.dst_pe was bounds-checked just above
-                    state.fifo_lanes[x.dst_pe.index()].push(x.finish(), -1);
-                }
-                acct.cache_range.1 = state.cache_lane.len();
-                for (pe, range) in acct.fifo_ranges.iter_mut().enumerate() {
-                    // lint: allow(unchecked-index) — one lane per PE by construction
-                    range.1 = state.fifo_lanes[pe].len();
-                }
-                for (v, range) in acct.vault_ranges.iter_mut().enumerate() {
-                    // lint: allow(unchecked-index) — one lane per vault by construction
-                    range.1 = state.vault_lanes[v].len();
-                }
-                acct.vault_deltas = vault_sums
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.0 > 0)
-                    .map(|(v, s)| (v, s.0, s.1, s.2))
-                    .collect();
-                // lint: allow(unchecked-index) — ring is stride slots, index is mod stride
-                xfer_ring[b % stride] = acct;
-            }
-        }
-    }
-
-    // ---- dependency coverage ---------------------------------------------
-    for b in 0..blocks {
-        // lint: allow(unchecked-index) — both vectors are one slot per block
-        if task_delta[b].is_some() && xfer_matched[b] {
-            // Fully batched block: every check below is a function of
-            // quantities that equal the base block's shifted uniformly,
-            // and the base (earlier in this loop, ultimately a slow
-            // block) already passed them.
-            continue;
-        }
-        // lint: allow(unchecked-index) — blocks × tpb == tasks.len() by construction
-        for t in &tasks[b * tpb..(b + 1) * tpb] {
-            for &e in graph
-                .in_edges(t.node)
-                .map_err(|_| SimError::UnknownNode(t.node))?
-            {
-                let x = transfer_index
-                    .get(e.index(), t.iteration)
-                    // lint: allow(unchecked-index) — indices come from the transfer pass above
-                    .map(|i| &transfers[i])
-                    .ok_or(SimError::MissingTransfer(e, t.iteration))?;
-                if x.finish() > t.start {
-                    return Err(SimError::ConsumerBeforeTransfer(e, t.iteration));
-                }
-                if x.dst_pe != t.pe {
-                    return Err(SimError::WrongDestination {
-                        edge: e,
-                        iteration: t.iteration,
-                        routed: x.dst_pe,
-                        consumer: t.pe,
-                    });
-                }
-            }
-        }
-    }
-
-    // ---- completeness ------------------------------------------------------
-    for iter in 1..=plan.iterations() {
-        for id in graph.node_ids() {
-            if !task_index.contains(id.index(), iter) {
-                return Err(SimError::MissingTask(id, iter));
-            }
-        }
-    }
-
-    state.batched_steps = (0..blocks)
-        // lint: allow(unchecked-index) — both vectors are one slot per block
-        .filter(|&b| task_delta[b].is_some() && xfer_matched[b])
-        .count() as u64;
-    Ok(())
-}
-
-/// Replays every task through per-PE interval recording in plan order,
-/// returning the first `EmptyTaskInterval` / `PeConflict` — the exact
-/// error the per-event pass reports. Only called after the global
-/// sweep proved a violation exists.
+/// Replays every task instance through per-PE interval recording in
+/// plan order, returning the first `EmptyTaskInterval` / `PeConflict`.
+/// Only called after the global sweep proved a violation exists.
 fn first_interval_error(plan: &ExecutionPlan, config: &PimConfig) -> SimError {
     let mut pes: Vec<Pe> = (0..config.num_pes())
         .map(|i| Pe::new(PeId::new(i as u32)))
         .collect();
     for t in plan.tasks() {
-        // lint: allow(unchecked-index) — PE ids were bounds-checked by the structural pass
+        // lint: allow(unchecked-index) — PE ids were bounds-checked by the task checks
         match pes[t.pe.index()].record_task(t.start, t.finish()) {
             Ok(()) => {}
             Err(RecordError::EmptyInterval) => {
@@ -1055,9 +590,8 @@ fn first_interval_error(plan: &ExecutionPlan, config: &PimConfig) -> SimError {
     unreachable!("interval sweep flagged a violation the exact replay cannot find")
 }
 
-/// The shared tail of both replay passes: event-lane sweeps (cache
-/// capacity, per-PE iFIFO, per-vault contention), statistics and the
-/// report.
+/// The tail of the replay pass: event-lane sweeps (cache capacity,
+/// per-PE iFIFO, per-vault contention), statistics and the report.
 fn finish(
     plan: &ExecutionPlan,
     config: &PimConfig,
@@ -1221,6 +755,13 @@ fn finish(
     if batched_steps > 0 {
         paraconv_obs::counter_add("sim.batched_steps", batched_steps);
     }
+    // Vault totals once per replay, not per fetch: the snapshot is the
+    // same and the replay loop stays free of recorder lookups.
+    if vaults.total_fetches() > 0 {
+        paraconv_obs::counter_add("vault.fetches", vaults.total_fetches());
+        paraconv_obs::counter_add("vault.units_moved", vaults.total_units_moved());
+        paraconv_obs::gauge_max("vault.peak_fetches", vaults.peak_fetches());
+    }
     paraconv_obs::gauge_max("sim.cache.peak_occupancy", peak_cache.max(0) as u64);
     paraconv_obs::gauge_max("sim.fifo.peak_occupancy", peak_fifo as u64);
     paraconv_obs::gauge_max("sim.vault.peak_concurrency", peak_vault_concurrency as u64);
@@ -1302,11 +843,21 @@ mod tests {
         plan
     }
 
-    /// `iters` repetitions of `valid_plan`'s block, each shifted
-    /// `period` later: the shape the batched path replays.
+    /// `valid_plan`'s block repeated to `iters` iterations, each
+    /// `period` later than the one before.
     fn periodic_plan(iters: u64, period: u64) -> ExecutionPlan {
+        valid_plan().repeat(iters, period).unwrap()
+    }
+
+    /// The same instances as `periodic_plan`, pushed one by one into an
+    /// explicit plan in iteration order (or reversed).
+    fn explicit_plan(iters: u64, period: u64, reversed: bool) -> ExecutionPlan {
         let mut plan = ExecutionPlan::new(iters);
-        for i in 0..iters {
+        let mut order: Vec<u64> = (0..iters).collect();
+        if reversed {
+            order.reverse();
+        }
+        for i in order {
             let s = i * period;
             plan.push_task(task(0, i + 1, 0, s, 2));
             plan.push_transfer(xfer(0, i + 1, Placement::Cache, s + 2, 1, 1));
@@ -1566,64 +1117,95 @@ mod tests {
     }
 
     #[test]
-    fn batched_replay_matches_per_event_replay() {
+    fn periodic_replay_matches_explicit_replay() {
         let g = two_node_graph();
         let cfg = config();
         let periodic = periodic_plan(4, 10);
-        assert!(detect_layout(&periodic).is_some());
-        // The same instances pushed in reverse iteration order: layout
-        // detection rejects the plan and the exact per-event path
-        // replays it instead. Valid plans are order-insensitive, so the
-        // two reports must agree field for field.
-        let mut scrambled = ExecutionPlan::new(4);
-        for i in (0..4u64).rev() {
-            let s = i * 10;
-            scrambled.push_task(task(0, i + 1, 0, s, 2));
-            scrambled.push_transfer(xfer(0, i + 1, Placement::Cache, s + 2, 1, 1));
-            scrambled.push_task(task(1, i + 1, 1, s + 3, 1));
-        }
-        assert!(detect_layout(&scrambled).is_none());
+        // The same instances listed explicitly, in plan order and
+        // reversed: valid plans are order-insensitive, so all three
+        // reports must agree field for field.
+        let explicit = explicit_plan(4, 10, false);
+        assert_eq!(periodic, explicit);
         let batched = simulate(&g, &periodic, &cfg).unwrap();
-        let exact = simulate(&g, &scrambled, &cfg).unwrap();
-        assert_eq!(batched, exact);
+        assert_eq!(batched, simulate(&g, &explicit, &cfg).unwrap());
+        assert_eq!(
+            batched,
+            simulate(&g, &explicit_plan(4, 10, true), &cfg).unwrap()
+        );
         assert_eq!(batched.onchip_hits, 4);
         assert_eq!(batched.compute_energy, 12);
     }
 
     #[test]
-    fn batched_edram_plan_matches_per_event_replay() {
+    fn periodic_plan_with_a_tail_matches_explicit_replay() {
+        let g = two_node_graph();
+        let cfg = config();
+        // Iterations 1..=3 repeat every 10; iteration 4 is a tail that
+        // runs 5 later than the period would put it.
+        let mut plan = periodic_plan(3, 10);
+        let mut tail = ExecutionPlan::new(1);
+        tail.push_task(task(0, 4, 0, 35, 2));
+        tail.push_transfer(xfer(0, 4, Placement::Cache, 37, 1, 1));
+        tail.push_task(task(1, 4, 1, 38, 1));
+        plan.append(tail.clone());
+        let mut explicit = ExecutionPlan::new(4);
+        for part in [&explicit_plan(3, 10, false), &tail] {
+            part.tasks().for_each(|t| explicit.push_task(t));
+            part.transfers().for_each(|x| explicit.push_transfer(x));
+        }
+        assert_eq!(plan, explicit);
+        let report = simulate(&g, &plan, &cfg).unwrap();
+        assert_eq!(report, simulate(&g, &explicit, &cfg).unwrap());
+        assert_eq!(report.total_time, 39);
+        assert_eq!(report.onchip_hits, 4);
+
+        // The tail walks the same checks as the block.
+        let mut bad = periodic_plan(3, 10);
+        let mut tail = ExecutionPlan::new(1);
+        tail.push_task(task(0, 4, 0, 35, 2));
+        tail.push_transfer(xfer(0, 4, Placement::Cache, 37, 1, 2));
+        tail.push_task(task(1, 4, 1, 38, 1));
+        bad.append(tail);
+        assert_eq!(
+            simulate(&g, &bad, &cfg).unwrap_err(),
+            SimError::WrongDestination {
+                edge: EdgeId::new(0),
+                iteration: 4,
+                routed: PeId::new(2),
+                consumer: PeId::new(1),
+            }
+        );
+    }
+
+    #[test]
+    fn periodic_edram_plan_matches_explicit_replay() {
         let g = two_node_graph();
         let cfg = config();
         let edram_time = CostModel::new(&cfg, g.edge_count()).edram_transfer_time(1);
         let period = edram_time + 4;
-        let build = |rev: bool| {
-            let mut plan = ExecutionPlan::new(3);
-            let order: Vec<u64> = if rev {
-                (0..3).rev().collect()
-            } else {
-                (0..3).collect()
-            };
-            for i in order {
-                let s = i * period;
-                plan.push_task(task(0, i + 1, 0, s, 2));
-                plan.push_transfer(xfer(0, i + 1, Placement::Edram, s + 2, edram_time, 1));
-                plan.push_task(task(1, i + 1, 1, s + 2 + edram_time, 1));
-            }
-            plan
-        };
-        let batched = simulate(&g, &build(false), &cfg).unwrap();
-        let exact = simulate(&g, &build(true), &cfg).unwrap();
+        let mut block = ExecutionPlan::new(1);
+        block.push_task(task(0, 1, 0, 0, 2));
+        block.push_transfer(xfer(0, 1, Placement::Edram, 2, edram_time, 1));
+        block.push_task(task(1, 1, 1, 2 + edram_time, 1));
+        let mut explicit = ExecutionPlan::new(3);
+        for i in (0..3).rev() {
+            let s = i * period;
+            explicit.push_task(task(0, i + 1, 0, s, 2));
+            explicit.push_transfer(xfer(0, i + 1, Placement::Edram, s + 2, edram_time, 1));
+            explicit.push_task(task(1, i + 1, 1, s + 2 + edram_time, 1));
+        }
+        let batched = simulate(&g, &block.repeat(3, period).unwrap(), &cfg).unwrap();
+        let exact = simulate(&g, &explicit, &cfg).unwrap();
         assert_eq!(batched, exact);
         assert_eq!(batched.offchip_fetches, 3);
         assert_eq!(batched.peak_vault_fetches, 3);
     }
 
     #[test]
-    fn batched_path_detects_overlap_in_repeated_blocks() {
-        // Period 1 < the producer's duration 2: blocks repeat exactly,
-        // so the batched path is taken, yet consecutive producer
-        // instances overlap on PE0. The canonical first error (plan
-        // order) must come back.
+    fn periodic_plan_detects_overlap_in_repeated_iterations() {
+        // Period 1 < the producer's duration 2: the block is valid on
+        // its own, yet consecutive producer instances overlap on PE0.
+        // The canonical first error (plan order) must come back.
         let err = simulate(&two_node_graph(), &periodic_plan(4, 1), &config()).unwrap_err();
         assert_eq!(
             err,
@@ -1637,9 +1219,9 @@ mod tests {
 
     #[test]
     fn mutated_block_in_a_periodic_plan_is_revalidated() {
-        // Break one instance deep into the plan: wrong duration at
-        // iteration 3. The mutated block fails block matching and must
-        // walk the full structural checks.
+        // Break one instance deep into an explicit plan: wrong
+        // duration at iteration 3. Explicit plans are one block, so
+        // every instance walks the full structural checks.
         let g = two_node_graph();
         let mut plan = ExecutionPlan::new(4);
         for i in 0..4u64 {
@@ -1662,8 +1244,7 @@ mod tests {
     #[test]
     fn mutated_transfer_block_is_revalidated() {
         // Tasks stay periodic but iteration 3's transfer routes to the
-        // wrong PE: the transfer block falls off the fast path and the
-        // dependency pass must still flag it.
+        // wrong PE: the dependency pass must flag it.
         let g = two_node_graph();
         let mut plan = ExecutionPlan::new(4);
         for i in 0..4u64 {
@@ -1685,23 +1266,20 @@ mod tests {
     }
 
     #[test]
-    fn batched_blocks_accumulate_cache_occupancy() {
-        // Long cache residency windows from repeated blocks stack up:
-        // with period 2 and residency length 10, five windows overlap,
-        // exceeding a capacity-4 cache. The overflow events come from
-        // fast blocks, so this exercises cross-block lane accounting.
+    fn repeated_iterations_accumulate_cache_occupancy() {
+        // Long cache residency windows from repeated iterations stack
+        // up: with period 2 and residency length 10, five windows
+        // overlap, exceeding a capacity-4 cache. The overflow events
+        // come from repeats, so this exercises shifted lane events.
         let g = two_node_graph();
         let cfg = PimConfig::builder(4).per_pe_cache_units(1).build().unwrap();
-        let mut plan = ExecutionPlan::new(6);
-        for i in 0..6u64 {
-            let s = i * 2;
-            plan.push_task(task(0, i + 1, 0, s, 2));
-            plan.push_transfer(xfer(0, i + 1, Placement::Cache, s + 2, 10, 1));
-            plan.push_task(task(1, i + 1, 1, s + 13, 1));
-        }
-        assert!(detect_layout(&plan).is_some());
+        let mut block = ExecutionPlan::new(1);
+        block.push_task(task(0, 1, 0, 0, 2));
+        block.push_transfer(xfer(0, 1, Placement::Cache, 2, 10, 1));
+        block.push_task(task(1, 1, 1, 13, 1));
+        assert!(simulate(&g, &block, &cfg).is_ok());
         assert!(matches!(
-            simulate(&g, &plan, &cfg).unwrap_err(),
+            simulate(&g, &block.repeat(6, 2).unwrap(), &cfg).unwrap_err(),
             SimError::CacheOverflow { .. }
         ));
     }

@@ -31,15 +31,6 @@ impl Vault {
         self.busy_time += duration;
     }
 
-    /// Records `fetches` fetches in one step — `units` total capacity
-    /// units over `busy` total TSV time. Equivalent to that many
-    /// [`record_fetch`](Vault::record_fetch) calls.
-    pub fn record_bulk(&mut self, fetches: u64, units: u64, busy: u64) {
-        self.fetches += fetches;
-        self.units_moved += units;
-        self.busy_time += busy;
-    }
-
     /// Number of fetch operations served.
     #[must_use]
     pub const fn fetches(&self) -> u64 {
@@ -92,30 +83,6 @@ impl VaultArray {
     pub fn record_fetch(&mut self, edge: EdgeId, units: u64, duration: u64) {
         let v = self.vault_of(edge);
         self.vaults[v].record_fetch(units, duration);
-        paraconv_obs::counter_add("vault.fetches", 1);
-        paraconv_obs::counter_add("vault.units_moved", units);
-        paraconv_obs::gauge_max("vault.peak_fetches", self.vaults[v].fetches());
-    }
-
-    /// Bulk-records `fetches` fetches striped to `vault` — `units`
-    /// total capacity units over `busy` total TSV time — in one step,
-    /// for the simulator's batched replay of repeated iteration
-    /// blocks.
-    ///
-    /// Counter totals match per-fetch recording exactly; the
-    /// `vault.peak_fetches` gauge observes the cumulative per-vault
-    /// count, whose running maximum equals the per-fetch emission
-    /// because fetch counts only grow.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vault` is out of range.
-    pub fn record_fetches_bulk(&mut self, vault: usize, fetches: u64, units: u64, busy: u64) {
-        let v = &mut self.vaults[vault];
-        v.record_bulk(fetches, units, busy);
-        paraconv_obs::counter_add("vault.fetches", fetches);
-        paraconv_obs::counter_add("vault.units_moved", units);
-        paraconv_obs::gauge_max("vault.peak_fetches", v.fetches());
     }
 
     /// Iterates over the vaults.

@@ -5,7 +5,7 @@
 //! established):
 //!
 //! ```text
-//! {"content_hash":"…","format":1,"key":"…","magic":"paraconv-plan","producer":"paraconv 0.1.0"}
+//! {"content_hash":"…","format":2,"key":"…","magic":"paraconv-plan","producer":"paraconv 0.1.0"}
 //! {"config":{…},"graph":{…},"outcome":{…},"policy":{…}}
 //! ```
 //!
@@ -16,6 +16,13 @@
 //! policy — that produced the plan). The `producer` field is
 //! provenance only and is never validated, so artifacts exported by a
 //! newer patch release still import cleanly.
+//!
+//! The body stores the request and the parts of the outcome that
+//! determine the plan — kernel, retiming, allocation and movement
+//! analysis — but not the plan's task and transfer instances: decode
+//! rebuilds those from the decoded parts with the scheduler's own
+//! emission, so an artifact is O(kernel) in size and cannot carry a
+//! plan other than the one its parts prove.
 //!
 //! Decoding is strict and total: every failure is a typed
 //! [`ArtifactError`]; hostile bytes can never panic or yield a plan
@@ -34,7 +41,16 @@ use crate::hash::sha256_hex;
 pub const MAGIC: &str = "paraconv-plan";
 
 /// The single artifact format version this build reads and writes.
-pub const FORMAT_VERSION: u64 = 1;
+/// Format 2 dropped the stored plan expansion that format 1 carried.
+pub const FORMAT_VERSION: u64 = 2;
+
+/// The most task and transfer instances a decoded plan may expand to.
+/// Decode rebuilds a plan from its kernel at O(u) cost whatever the
+/// declared iteration count, but replaying or auditing the plan visits
+/// every instance, so an artifact of a few KB must not be able to ask
+/// for unbounded work. The largest benchmark at the default 50
+/// iterations (protein, 99 750 instances) expands to under 3% of this.
+pub const MAX_PLAN_INSTANCES: u64 = 1 << 22;
 
 /// Producer tag written into exported headers (provenance only).
 pub const PRODUCER: &str = concat!("paraconv ", env!("CARGO_PKG_VERSION"));
@@ -52,7 +68,8 @@ pub struct PlanPolicy {
 /// A complete, self-contained plan: the request (graph, config,
 /// policy) plus the full scheduling outcome, which is everything
 /// `paraconv-verify` needs to re-prove the plan without trusting the
-/// producer.
+/// producer. Encoding skips `outcome.plan`, which decoding derives
+/// from the rest.
 #[derive(Debug, Clone)]
 pub struct PlanBundle {
     /// The task graph the plan executes.
@@ -62,16 +79,16 @@ pub struct PlanBundle {
     /// The scheduling request parameters.
     pub policy: PlanPolicy,
     /// The scheduler's full outcome (plan, kernel, retiming,
-    /// allocation, movement analysis).
+    /// allocation, movement analysis); the plan is derived, not
+    /// encoded.
     pub outcome: ParaConvOutcome,
 }
 
 /// Named sections reported by [`PlanBundle::diff_sections`].
-const DIFF_SECTIONS: [&str; 8] = [
+const DIFF_SECTIONS: [&str; 7] = [
     "graph",
     "config",
     "policy",
-    "outcome.plan",
     "outcome.kernel",
     "outcome.retiming",
     "outcome.allocation",
@@ -140,11 +157,11 @@ impl PlanBundle {
 
     /// Names the sections in which `self` and `other` differ (empty
     /// when the bundles encode identically). Sections follow the body
-    /// schema: `graph`, `config`, `policy`, and the five outcome
-    /// components.
+    /// schema: `graph`, `config`, `policy`, and the four encoded
+    /// outcome components.
     #[must_use]
     pub fn diff_sections(&self, other: &PlanBundle) -> Vec<&'static str> {
-        let sections = |bundle: &PlanBundle| -> [String; 8] {
+        let sections = |bundle: &PlanBundle| -> [String; 7] {
             let outcome = codec::outcome_to_value(&bundle.outcome);
             let component = |key: &str| -> String {
                 match outcome.as_object().and_then(|obj| obj.get(key)) {
@@ -156,7 +173,6 @@ impl PlanBundle {
                 serde_json::to_string(&codec::graph_to_value(&bundle.graph)),
                 serde_json::to_string(&codec::config_to_value(&bundle.config)),
                 serde_json::to_string(&codec::policy_to_value(&bundle.policy)),
-                component("plan"),
                 component("kernel"),
                 component("retiming"),
                 component("allocation"),
@@ -303,8 +319,11 @@ fn split_artifact(bytes: &[u8]) -> Result<(ArtifactHeader, &str), ArtifactError>
 ///
 /// Validation runs outside-in, cheapest first, so tampering is caught
 /// before any expensive work: UTF-8 → line structure → header JSON →
-/// magic → format version → body `content_hash` → body codec →
-/// registry-key recompute. The `producer` field is not validated.
+/// magic → format version → body `content_hash` → body codec (which
+/// refuses a `policy.iterations` that would expand past
+/// [`MAX_PLAN_INSTANCES`], then rebuilds the plan from the decoded
+/// kernel, retiming and allocation) → registry-key recompute. The
+/// `producer` field is not validated.
 ///
 /// # Errors
 ///
@@ -358,8 +377,30 @@ pub fn decode(bytes: &[u8]) -> Result<PlanArtifact, ArtifactError> {
     let config = codec::config_from_value(body_obj.get("config").unwrap(), "body.config")?;
     // lint: allow(no-unwrap) — presence checked just above.
     let policy = codec::policy_from_value(body_obj.get("policy").unwrap(), "body.policy")?;
-    // lint: allow(no-unwrap) — presence checked just above.
-    let outcome = codec::outcome_from_value(body_obj.get("outcome").unwrap(), "body.outcome")?;
+    // Even an empty iteration costs replay a step.
+    let per_iteration = (graph.node_count() + graph.edge_count()).max(1) as u64;
+    if policy
+        .iterations
+        .checked_mul(per_iteration)
+        .is_none_or(|instances| instances > MAX_PLAN_INSTANCES)
+    {
+        return Err(ArtifactError::schema(
+            "body.policy.iterations",
+            format!(
+                "{} iterations of {per_iteration} instances each exceed the \
+                 {MAX_PLAN_INSTANCES}-instance plan limit",
+                policy.iterations
+            ),
+        ));
+    }
+    let outcome = codec::outcome_from_value(
+        // lint: allow(no-unwrap) — presence checked just above.
+        body_obj.get("outcome").unwrap(),
+        "body.outcome",
+        &graph,
+        &config,
+        policy.iterations,
+    )?;
     let bundle = PlanBundle {
         graph,
         config,
@@ -425,13 +466,30 @@ mod tests {
         assert_eq!(artifact.header.key, bundle.key());
     }
 
+    /// An allocation that caches nothing, unlike the fixture's.
+    fn empty_allocation() -> paraconv_alloc::CacheAllocation {
+        paraconv_alloc::CacheAllocation::from_parts(Vec::new(), Vec::new(), 0, 0, 0)
+    }
+
     #[test]
     fn key_ignores_outcome() {
         let bundle = bundle();
         let mut other = bundle.clone();
-        other.outcome.plan = paraconv_pim::ExecutionPlan::new(999);
+        other.outcome.allocation = empty_allocation();
         assert_eq!(bundle.key(), other.key());
         assert_ne!(bundle.encode(), other.encode());
+    }
+
+    #[test]
+    fn plan_is_derived_not_encoded() {
+        // The plan instances are not part of the bytes: replacing them
+        // changes nothing, and decoding rebuilds the scheduler's plan.
+        let bundle = bundle();
+        let mut other = bundle.clone();
+        other.outcome.plan = paraconv_pim::ExecutionPlan::new(999);
+        assert_eq!(bundle.encode(), other.encode());
+        let decoded = decode(&other.encode()).unwrap().bundle;
+        assert_eq!(decoded.outcome.plan, bundle.outcome.plan);
     }
 
     #[test]
@@ -445,21 +503,17 @@ mod tests {
     }
 
     #[test]
-    fn future_version_is_version_skew() {
+    fn old_and_future_versions_are_version_skew() {
         let bundle = bundle();
         let text = String::from_utf8(bundle.encode()).unwrap();
-        let text = text.replacen("\"format\":1", "\"format\":99", 1);
-        let err = decode(text.as_bytes()).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                ArtifactError::VersionSkew {
-                    found: 99,
-                    supported: 1
-                }
-            ),
-            "{err}"
-        );
+        for found in [1, 99] {
+            let skewed = text.replacen("\"format\":2", &format!("\"format\":{found}"), 1);
+            let err = decode(skewed.as_bytes()).unwrap_err();
+            assert!(
+                matches!(err, ArtifactError::VersionSkew { found: f, supported: 2 } if f == found),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -520,7 +574,7 @@ mod tests {
         b.policy.iterations += 1;
         assert_eq!(a.diff_sections(&b), vec!["policy"]);
         let mut c = a.clone();
-        c.outcome.plan = paraconv_pim::ExecutionPlan::new(1);
-        assert_eq!(a.diff_sections(&c), vec!["outcome.plan"]);
+        c.outcome.allocation = empty_allocation();
+        assert_eq!(a.diff_sections(&c), vec!["outcome.allocation"]);
     }
 }

@@ -15,9 +15,9 @@
 
 use paraconv_alloc::CacheAllocation;
 use paraconv_graph::{EdgeId, NodeId, OpKind, Placement, TaskGraph, TaskGraphBuilder};
-use paraconv_pim::{ExecutionPlan, PeId, PimConfig, PlannedTask, PlannedTransfer};
+use paraconv_pim::{PeId, PimConfig};
 use paraconv_retime::{MovementAnalysis, Retiming, RetimingCase};
-use paraconv_sched::{AllocationPolicy, KernelSchedule, ParaConvOutcome};
+use paraconv_sched::{emit_plan, AllocationPolicy, KernelSchedule, ParaConvOutcome};
 use serde_json::{Map, Number, Value};
 
 use crate::artifact::PlanPolicy;
@@ -390,9 +390,10 @@ pub fn policy_from_value(v: &Value, path: &str) -> Result<PlanPolicy, ArtifactEr
 // Scheduling outcome
 // ---------------------------------------------------------------------------
 
-/// Encodes a complete [`ParaConvOutcome`]: the concrete plan plus the
-/// kernel, retiming, allocation, and movement analysis the verifier
-/// needs to re-prove it.
+/// Encodes a [`ParaConvOutcome`] by the parts that determine its plan
+/// and that the verifier re-proves: kernel, retiming, allocation and
+/// movement analysis. The plan itself is not stored; see
+/// [`outcome_from_value`].
 #[must_use]
 pub fn outcome_to_value(outcome: &ParaConvOutcome) -> Value {
     let mut obj = Map::new();
@@ -402,127 +403,39 @@ pub fn outcome_to_value(outcome: &ParaConvOutcome) -> Value {
     );
     obj.insert("analysis".into(), analysis_to_value(&outcome.analysis));
     obj.insert("kernel".into(), kernel_to_value(&outcome.kernel));
-    obj.insert("plan".into(), plan_to_value(&outcome.plan));
     obj.insert("retiming".into(), retiming_to_value(&outcome.retiming));
     Value::Object(obj)
 }
 
-/// Decodes a complete [`ParaConvOutcome`].
-pub fn outcome_from_value(v: &Value, path: &str) -> Result<ParaConvOutcome, ArtifactError> {
+/// Decodes a [`ParaConvOutcome`] and rebuilds its plan for `graph` on
+/// `config` over `iterations` iterations through
+/// [`paraconv_sched::emit_plan`] — the scheduler's own emission — so
+/// the plan that runs is the plan the decoded parts prove, at
+/// O(u·(nodes + edges)) cost whatever the iteration count.
+pub fn outcome_from_value(
+    v: &Value,
+    path: &str,
+    graph: &TaskGraph,
+    config: &PimConfig,
+    iterations: u64,
+) -> Result<ParaConvOutcome, ArtifactError> {
     let obj = as_obj(v, path)?;
-    check_keys(
-        obj,
-        path,
-        &["allocation", "analysis", "kernel", "plan", "retiming"],
+    check_keys(obj, path, &["allocation", "analysis", "kernel", "retiming"])?;
+    let kernel = kernel_from_value(field(obj, path, "kernel")?, &format!("{path}.kernel"))?;
+    let retiming = retiming_from_value(field(obj, path, "retiming")?, &format!("{path}.retiming"))?;
+    let allocation = allocation_from_value(
+        field(obj, path, "allocation")?,
+        &format!("{path}.allocation"),
     )?;
+    let plan = emit_plan(graph, &kernel, &retiming, &allocation, config, iterations)
+        .map_err(|e| ArtifactError::schema(path, e.to_string()))?;
     Ok(ParaConvOutcome {
-        plan: plan_from_value(field(obj, path, "plan")?, &format!("{path}.plan"))?,
-        kernel: kernel_from_value(field(obj, path, "kernel")?, &format!("{path}.kernel"))?,
-        retiming: retiming_from_value(field(obj, path, "retiming")?, &format!("{path}.retiming"))?,
-        allocation: allocation_from_value(
-            field(obj, path, "allocation")?,
-            &format!("{path}.allocation"),
-        )?,
+        plan,
+        kernel,
+        retiming,
+        allocation,
         analysis: analysis_from_value(field(obj, path, "analysis")?, &format!("{path}.analysis"))?,
     })
-}
-
-fn plan_to_value(plan: &ExecutionPlan) -> Value {
-    let tasks: Vec<Value> = plan
-        .tasks()
-        .iter()
-        .map(|t| {
-            Value::Array(vec![
-                usize_value(t.node.index()),
-                u64_value(t.iteration),
-                usize_value(t.pe.index()),
-                u64_value(t.start),
-                u64_value(t.duration),
-            ])
-        })
-        .collect();
-    let transfers: Vec<Value> = plan
-        .transfers()
-        .iter()
-        .map(|x| {
-            Value::Array(vec![
-                usize_value(x.edge.index()),
-                u64_value(x.iteration),
-                str_value(placement_tag(x.placement)),
-                u64_value(x.start),
-                u64_value(x.duration),
-                usize_value(x.dst_pe.index()),
-            ])
-        })
-        .collect();
-    let mut obj = Map::new();
-    obj.insert("iterations".into(), u64_value(plan.iterations()));
-    obj.insert("tasks".into(), Value::Array(tasks));
-    obj.insert("transfers".into(), Value::Array(transfers));
-    Value::Object(obj)
-}
-
-fn plan_from_value(v: &Value, path: &str) -> Result<ExecutionPlan, ArtifactError> {
-    let obj = as_obj(v, path)?;
-    check_keys(obj, path, &["iterations", "tasks", "transfers"])?;
-    let mut plan = ExecutionPlan::new(u64_field(obj, path, "iterations")?);
-    for (i, task) in array_field(obj, path, "tasks")?.iter().enumerate() {
-        let task_path = format!("{path}.tasks[{i}]");
-        let row = as_array(task, &task_path)?;
-        if row.len() != 5 {
-            return Err(ArtifactError::schema(
-                &task_path,
-                format!(
-                    "expected [node, iteration, pe, start, duration], got {} elements",
-                    row.len()
-                ),
-            ));
-        }
-        plan.push_task(PlannedTask {
-            node: NodeId::new(id32(
-                as_u64(&row[0], &task_path)?,
-                &format!("{task_path}[0]"),
-            )?),
-            iteration: as_u64(&row[1], &format!("{task_path}[1]"))?,
-            pe: PeId::new(id32(
-                as_u64(&row[2], &task_path)?,
-                &format!("{task_path}[2]"),
-            )?),
-            start: as_u64(&row[3], &format!("{task_path}[3]"))?,
-            duration: as_u64(&row[4], &format!("{task_path}[4]"))?,
-        });
-    }
-    for (i, transfer) in array_field(obj, path, "transfers")?.iter().enumerate() {
-        let transfer_path = format!("{path}.transfers[{i}]");
-        let row = as_array(transfer, &transfer_path)?;
-        if row.len() != 6 {
-            return Err(ArtifactError::schema(
-                &transfer_path,
-                format!(
-                    "expected [edge, iteration, placement, start, duration, dst_pe], got {} elements",
-                    row.len()
-                ),
-            ));
-        }
-        plan.push_transfer(PlannedTransfer {
-            edge: EdgeId::new(id32(
-                as_u64(&row[0], &transfer_path)?,
-                &format!("{transfer_path}[0]"),
-            )?),
-            iteration: as_u64(&row[1], &format!("{transfer_path}[1]"))?,
-            placement: placement_from_tag(
-                as_str(&row[2], &format!("{transfer_path}[2]"))?,
-                &format!("{transfer_path}[2]"),
-            )?,
-            start: as_u64(&row[3], &format!("{transfer_path}[3]"))?,
-            duration: as_u64(&row[4], &format!("{transfer_path}[4]"))?,
-            dst_pe: PeId::new(id32(
-                as_u64(&row[5], &transfer_path)?,
-                &format!("{transfer_path}[5]"),
-            )?),
-        });
-    }
-    Ok(plan)
 }
 
 fn kernel_to_value(kernel: &KernelSchedule) -> Value {
@@ -780,9 +693,9 @@ mod tests {
 
     #[test]
     fn outcome_round_trips_exactly() {
-        let (_, _, outcome) = sample();
+        let (graph, config, outcome) = sample();
         let value = outcome_to_value(&outcome);
-        let back = outcome_from_value(&value, "body").unwrap();
+        let back = outcome_from_value(&value, "body", &graph, &config, 6).unwrap();
         assert_eq!(back.plan, outcome.plan);
         assert_eq!(back.kernel, outcome.kernel);
         assert_eq!(back.retiming, outcome.retiming);

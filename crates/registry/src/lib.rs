@@ -40,7 +40,7 @@ mod store;
 
 pub use artifact::{
     decode, request_key, verify_artifact_bytes, ArtifactHeader, PlanArtifact, PlanBundle,
-    PlanPolicy, FORMAT_VERSION, MAGIC, PRODUCER,
+    PlanPolicy, FORMAT_VERSION, MAGIC, MAX_PLAN_INSTANCES, PRODUCER,
 };
 pub use codec::{
     config_from_value, config_to_value, graph_from_value, graph_to_value, outcome_from_value,

@@ -279,7 +279,7 @@ mod tests {
         assert!(!body.is_empty() && !body.contains('\n'));
         let hash = sha256_hex(body.as_bytes());
         format!(
-            "{{\"content_hash\":\"{hash}\",\"format\":1,\"key\":\"{hash}\",\
+            "{{\"content_hash\":\"{hash}\",\"format\":2,\"key\":\"{hash}\",\
              \"magic\":\"paraconv-plan\",\"producer\":\"store-test\"}}\n{body}\n"
         )
         .into_bytes()

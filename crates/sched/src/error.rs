@@ -12,6 +12,10 @@ pub enum SchedError {
     /// The movement analysis rejected the derived timing inputs; this
     /// indicates an internal inconsistency and carries the message.
     Analysis(String),
+    /// The kernel, retiming and allocation handed to
+    /// [`emit_plan`](crate::emit_plan) do not fit the graph, or the
+    /// plan they determine would overflow; carries the reason.
+    Emit(String),
     /// The request's [`CancelToken`](paraconv_obs::CancelToken) fired
     /// (deadline expiry or daemon drain); the partial work was
     /// discarded at a phase boundary.
@@ -23,6 +27,7 @@ impl fmt::Display for SchedError {
         match self {
             SchedError::ZeroIterations => f.write_str("at least one iteration must be scheduled"),
             SchedError::Analysis(msg) => write!(f, "movement analysis failed: {msg}"),
+            SchedError::Emit(msg) => write!(f, "plan emission failed: {msg}"),
             SchedError::Cancelled => f.write_str("scheduling cancelled before completion"),
         }
     }

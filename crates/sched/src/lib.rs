@@ -46,6 +46,6 @@ mod sparta;
 
 pub use error::SchedError;
 pub use kernel::KernelSchedule;
-pub use paraconv::{AllocationPolicy, ParaConvOutcome, ParaConvScheduler};
+pub use paraconv::{emit_plan, AllocationPolicy, ParaConvOutcome, ParaConvScheduler};
 pub use rotation::{rotation_schedule, rotation_schedule_on, RotationResult};
 pub use sparta::{BaselineCachePolicy, SpartaOutcome, SpartaScheduler};

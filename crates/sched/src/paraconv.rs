@@ -14,9 +14,10 @@
 //! 4. **Retiming** — the minimal legal retiming satisfying every
 //!    edge's requirement under its chosen placement; `R_max` fixes the
 //!    prologue `R_max × p`.
-//! 5. **Plan emission** — instance `V_i^ℓ` starts at
+//! 5. **Plan emission** ([`emit_plan`]) — instance `V_i^ℓ` starts at
 //!    `(ℓ − 1 + R_max − R(i))·p + offset(i)` on its kernel PE, every
-//!    transfer departs when its producer finishes.
+//!    transfer departs when its producer finishes. One kernel's worth
+//!    of iterations is emitted; the periodic plan repeats it.
 
 use paraconv_alloc::{AllocItem, CacheAllocation, CacheAllocator, IncrementalDp};
 use paraconv_graph::{Placement, TaskGraph};
@@ -222,7 +223,7 @@ impl ParaConvScheduler {
         }
         // Cooperative cancellation: the ambient token (installed by the
         // serve worker's `CancelScope`) is polled at every phase
-        // boundary and inside the iteration-proportional emit loop, so
+        // boundary (emission is O(u) and needs no poll of its own), so
         // a deadline expiry or daemon drain abandons the request
         // within one phase. Plans that *complete* are byte-identical
         // whether or not a token was armed.
@@ -340,54 +341,18 @@ impl ParaConvScheduler {
             })
             .collect();
         let retiming = Retiming::from_edge_requirements(graph, &requirements);
-        let rmax = retiming.max_value();
 
-        // Step 5: emit the concrete plan. Iteration ℓ occupies copy
-        // (ℓ−1) mod u of kernel group (ℓ−1) div u; group g of a node
-        // retimed by R(i) executes in kernel window g + R_max − R(i).
+        // Step 5: emit the plan the kernel, retiming and allocation
+        // determine.
         let _phase = phase.next("sched.emit");
-        let mut plan = ExecutionPlan::new(iterations);
-        for iter in 1..=iterations {
-            if iter % 64 == 0 {
-                cancelled()?;
-            }
-            let group = (iter - 1) / unroll;
-            let copy = (iter - 1) % unroll;
-            for node in graph.nodes() {
-                let r = retiming
-                    .node_value(node.id())
-                    .map_err(|e| SchedError::Analysis(e.to_string()))?;
-                let start = (group + rmax - r) * p + kernel.start_at(node.id(), copy);
-                plan.push_task(PlannedTask {
-                    node: node.id(),
-                    iteration: iter,
-                    pe: kernel.pe_at(node.id(), copy),
-                    start,
-                    duration: node.exec_time(),
-                });
-            }
-            for ipr in graph.edges() {
-                let i = ipr.id().index();
-                let r_src = retiming
-                    .node_value(ipr.src())
-                    .map_err(|e| SchedError::Analysis(e.to_string()))?;
-                let producer_finish =
-                    (group + rmax - r_src) * p + kernel.finish_at(ipr.src(), copy);
-                let placement = placements[i];
-                let duration = match placement {
-                    Placement::Cache => cache_times[i],
-                    Placement::Edram => edram_times[i],
-                };
-                plan.push_transfer(PlannedTransfer {
-                    edge: ipr.id(),
-                    iteration: iter,
-                    placement,
-                    start: producer_finish,
-                    duration,
-                    dst_pe: kernel.pe_at(ipr.dst(), copy),
-                });
-            }
-        }
+        let plan = emit_plan(
+            graph,
+            &kernel,
+            &retiming,
+            &allocation,
+            &self.config,
+            iterations,
+        )?;
 
         paraconv_obs::flight_record("sched", "schedule.done", plan.makespan(), pes.len() as u64);
         Ok(ParaConvOutcome {
@@ -398,6 +363,106 @@ impl ParaConvScheduler {
             analysis,
         })
     }
+}
+
+/// Step 5 of the pipeline: the plan that a kernel, retiming and
+/// allocation determine. Iteration ℓ occupies copy `(ℓ−1) mod u` of
+/// kernel group `(ℓ−1) div u`; group `g` of a node retimed by `R(i)`
+/// executes in kernel window `g + R_max − R(i)`, and every transfer
+/// departs when its producer finishes. Only group 0 — the first
+/// `min(u, iterations)` iterations — is emitted; each later group is
+/// group 0 one period `p` later ([`ExecutionPlan::repeat`]), so the
+/// work is O(u·(nodes + edges)) whatever the iteration count.
+///
+/// The scheduler and the plan-artifact decoder both build plans here,
+/// so an imported plan is exactly the plan its recorded parts prove.
+///
+/// # Errors
+///
+/// [`SchedError::ZeroIterations`] for `iterations == 0`, and
+/// [`SchedError::Emit`] when the parts do not fit `graph` and `config`
+/// (a kernel or retiming built for another graph, a kernel without
+/// copies or with a slot outside the PE array) or a start or finish
+/// time would overflow `u64`.
+pub fn emit_plan(
+    graph: &TaskGraph,
+    kernel: &KernelSchedule,
+    retiming: &Retiming,
+    allocation: &CacheAllocation,
+    config: &PimConfig,
+    iterations: u64,
+) -> Result<ExecutionPlan, SchedError> {
+    if iterations == 0 {
+        return Err(SchedError::ZeroIterations);
+    }
+    if kernel.copies() == 0 || kernel.node_count() != graph.node_count() {
+        return Err(SchedError::Emit(format!(
+            "a kernel of {} copies of {} nodes does not fit a graph of {} nodes",
+            kernel.copies(),
+            kernel.node_count(),
+            graph.node_count()
+        )));
+    }
+    if let Some(pe) = kernel
+        .pe_slots()
+        .iter()
+        .find(|pe| pe.index() >= config.num_pes())
+    {
+        return Err(SchedError::Emit(format!(
+            "a kernel slot on {pe} is outside the {}-PE array",
+            config.num_pes()
+        )));
+    }
+    let overflow = || SchedError::Emit("a plan time overflows u64".to_owned());
+    let cost = CostModel::new(config, graph.edge_count());
+    let placements = allocation.to_placement_vec(graph.edge_count());
+    let rmax = retiming.max_value();
+    let p = kernel.period();
+    // Group 0's kernel window of each node, as a time offset.
+    let window: Vec<u64> = graph
+        .node_ids()
+        .map(|id| {
+            let r = retiming
+                .node_value(id)
+                .map_err(|e| SchedError::Emit(e.to_string()))?;
+            (rmax - r).checked_mul(p).ok_or_else(overflow)
+        })
+        .collect::<Result<_, _>>()?;
+    let block = iterations.min(kernel.copies());
+    let mut plan = ExecutionPlan::new(block);
+    for copy in 0..block {
+        for node in graph.nodes() {
+            let start = window[node.id().index()]
+                .checked_add(kernel.start_at(node.id(), copy))
+                .ok_or_else(overflow)?;
+            plan.push_task(PlannedTask {
+                node: node.id(),
+                iteration: copy + 1,
+                pe: kernel.pe_at(node.id(), copy),
+                start,
+                duration: node.exec_time(),
+            });
+        }
+        for ipr in graph.edges() {
+            let producer_finish = window[ipr.src().index()]
+                .checked_add(kernel.finish_at(ipr.src(), copy))
+                .ok_or_else(overflow)?;
+            let placement = placements[ipr.id().index()];
+            plan.push_transfer(PlannedTransfer {
+                edge: ipr.id(),
+                iteration: copy + 1,
+                placement,
+                start: producer_finish,
+                duration: cost.transfer_time(ipr.size(), placement),
+                dst_pe: kernel.pe_at(ipr.dst(), copy),
+            });
+        }
+    }
+    plan.repeat(iterations, p).ok_or_else(|| {
+        SchedError::Emit(format!(
+            "repeating the kernel to {iterations} iterations overflows"
+        ))
+    })
 }
 
 /// Picks the kernel unroll factor minimizing the per-iteration

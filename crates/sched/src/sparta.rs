@@ -211,37 +211,38 @@ impl SpartaScheduler {
         // with priority list scheduling, then replicate it.
         let template = schedule_batch(graph, copies as usize, n_pes, &priority, &transfer_time);
 
-        let mut plan = ExecutionPlan::new(iterations);
+        // Full batches repeat the template every `makespan`: emit the
+        // first and repeat it; a partial last batch is its own tail.
         let full_batches = iterations / copies;
         let remainder = iterations % copies;
-        let mut next_iteration = 1u64;
-        let mut clock = 0u64;
-        for _ in 0..full_batches {
-            emit_batch(
-                &mut plan,
-                graph,
-                &template,
-                copies as usize,
-                next_iteration,
-                clock,
-                &placements,
-                &transfer_time,
-            );
-            next_iteration += copies;
-            clock += template.makespan;
-        }
+        let mut plan = ExecutionPlan::new(copies);
+        emit_batch(
+            &mut plan,
+            graph,
+            &template,
+            copies as usize,
+            1,
+            0,
+            &placements,
+            &transfer_time,
+        );
+        let mut plan = plan
+            .repeat(full_batches * copies, template.makespan)
+            .ok_or_else(|| SchedError::Emit("a SPARTA plan time overflows u64".to_owned()))?;
         if remainder > 0 {
             let tail = schedule_batch(graph, remainder as usize, n_pes, &priority, &transfer_time);
+            let mut tail_plan = ExecutionPlan::new(remainder);
             emit_batch(
-                &mut plan,
+                &mut tail_plan,
                 graph,
                 &tail,
                 remainder as usize,
-                next_iteration,
-                clock,
+                full_batches * copies + 1,
+                full_batches * template.makespan,
                 &placements,
                 &transfer_time,
             );
+            plan.append(tail_plan);
         }
 
         Ok(SpartaOutcome {

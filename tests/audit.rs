@@ -40,13 +40,13 @@ fn rebuild(
     mut xfer_map: impl FnMut(usize, PlannedTransfer) -> Option<PlannedTransfer>,
 ) -> ExecutionPlan {
     let mut out = ExecutionPlan::new(plan.iterations());
-    for (i, t) in plan.tasks().iter().enumerate() {
-        if let Some(t) = task_map(i, *t) {
+    for (i, t) in plan.tasks().enumerate() {
+        if let Some(t) = task_map(i, t) {
             out.push_task(t);
         }
     }
-    for (i, x) in plan.transfers().iter().enumerate() {
-        if let Some(x) = xfer_map(i, *x) {
+    for (i, x) in plan.transfers().enumerate() {
+        if let Some(x) = xfer_map(i, x) {
             out.push_transfer(x);
         }
     }
@@ -73,7 +73,7 @@ fn dropped_task_is_flagged() {
 fn duplicated_task_is_flagged() {
     let (graph, plan, config) = valid_setup();
     let mut mutated = rebuild(&plan, |_, t| Some(t), |_, x| Some(x));
-    mutated.push_task(plan.tasks()[0]);
+    mutated.push_task(plan.tasks().next().unwrap());
     assert!(matches!(
         audit_plan(&graph, &mutated, &config),
         Err(AuditError::TaskScheduledTwice { .. })
@@ -94,7 +94,7 @@ fn dropped_transfer_is_flagged() {
 fn duplicated_transfer_is_flagged() {
     let (graph, plan, config) = valid_setup();
     let mut mutated = rebuild(&plan, |_, t| Some(t), |_, x| Some(x));
-    mutated.push_transfer(plan.transfers()[0]);
+    mutated.push_transfer(plan.transfers().next().unwrap());
     assert!(matches!(
         audit_plan(&graph, &mutated, &config),
         Err(AuditError::TransferScheduledTwice { .. })
@@ -125,7 +125,6 @@ fn early_transfer_departure_is_flagged() {
     let (graph, plan, config) = valid_setup();
     let victim = plan
         .transfers()
-        .iter()
         .position(|x| x.start > 0)
         .expect("some transfer departs after t=0");
     let mutated = rebuild(

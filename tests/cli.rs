@@ -190,6 +190,42 @@ fn plan_import_of_a_corrupt_file_is_a_runtime_error() {
 }
 
 #[test]
+fn plan_import_run_of_an_absurd_iteration_count_is_a_runtime_error() {
+    // A hash-valid artifact whose policy declares 2^40 iterations:
+    // import must refuse it with a typed error, not try to replay it.
+    let path = plan_tmp("absurd.plan");
+    let out = paraconv(&[
+        "plan",
+        "export",
+        "cat",
+        "--iters",
+        "8",
+        "--out",
+        path.to_str().expect("utf-8 path"),
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+    let bytes = std::fs::read(&path).expect("exported bytes");
+    let mut bundle = paraconv::registry::decode(&bytes)
+        .expect("exported artifact decodes")
+        .bundle;
+    bundle.policy.iterations = 1 << 40;
+    std::fs::write(&path, bundle.encode()).expect("write fixture");
+    let out = paraconv(&[
+        "plan",
+        "import",
+        path.to_str().expect("utf-8 path"),
+        "--run",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("import rejected") && stderr.contains("body.policy.iterations"),
+        "typed rejection expected, got: {stderr}"
+    );
+    std::fs::remove_file(&path).expect("cleanup");
+}
+
+#[test]
 fn plan_export_import_diff_round_trip_succeeds() {
     let exported = plan_tmp("cat.plan");
     let reexported = plan_tmp("cat2.plan");

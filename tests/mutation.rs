@@ -25,11 +25,11 @@ fn valid_setup() -> (paraconv::graph::TaskGraph, ExecutionPlan, PimConfig) {
 /// Rebuilds a plan with one task replaced.
 fn with_task(plan: &ExecutionPlan, index: usize, task: PlannedTask) -> ExecutionPlan {
     let mut out = ExecutionPlan::new(plan.iterations());
-    for (i, t) in plan.tasks().iter().enumerate() {
-        out.push_task(if i == index { task } else { *t });
+    for (i, t) in plan.tasks().enumerate() {
+        out.push_task(if i == index { task } else { t });
     }
     for x in plan.transfers() {
-        out.push_transfer(*x);
+        out.push_transfer(x);
     }
     out
 }
@@ -38,10 +38,10 @@ fn with_task(plan: &ExecutionPlan, index: usize, task: PlannedTask) -> Execution
 fn with_transfer(plan: &ExecutionPlan, index: usize, transfer: PlannedTransfer) -> ExecutionPlan {
     let mut out = ExecutionPlan::new(plan.iterations());
     for t in plan.tasks() {
-        out.push_task(*t);
+        out.push_task(t);
     }
-    for (i, x) in plan.transfers().iter().enumerate() {
-        out.push_transfer(if i == index { transfer } else { *x });
+    for (i, x) in plan.transfers().enumerate() {
+        out.push_transfer(if i == index { transfer } else { x });
     }
     out
 }
@@ -55,11 +55,11 @@ fn baseline_plan_is_valid() {
 #[test]
 fn shifting_any_task_earlier_is_caught_or_benign() {
     let (graph, plan, config) = valid_setup();
-    for (i, task) in plan.tasks().iter().enumerate() {
+    for (i, task) in plan.tasks().enumerate() {
         if task.start == 0 {
             continue;
         }
-        let mut mutated = *task;
+        let mut mutated = task;
         mutated.start -= 1;
         let result = simulate(&graph, &with_task(&plan, i, mutated), &config);
         // Either a typed rejection or (rarely) still valid; the call
@@ -73,8 +73,8 @@ fn shifting_any_task_earlier_is_caught_or_benign() {
 #[test]
 fn stretching_any_task_duration_is_rejected() {
     let (graph, plan, config) = valid_setup();
-    for (i, task) in plan.tasks().iter().enumerate().take(20) {
-        let mut mutated = *task;
+    for (i, task) in plan.tasks().enumerate().take(20) {
+        let mut mutated = task;
         mutated.duration += 1;
         let err = simulate(&graph, &with_task(&plan, i, mutated), &config)
             .expect_err("wrong duration must be rejected");
@@ -85,8 +85,8 @@ fn stretching_any_task_duration_is_rejected() {
 #[test]
 fn rerouting_any_transfer_is_rejected() {
     let (graph, plan, config) = valid_setup();
-    for (i, x) in plan.transfers().iter().enumerate().take(20) {
-        let mut mutated = *x;
+    for (i, x) in plan.transfers().enumerate().take(20) {
+        let mut mutated = x;
         mutated.dst_pe = PeId::new((x.dst_pe.index() as u32 + 1) % 4);
         let err = simulate(&graph, &with_transfer(&plan, i, mutated), &config)
             .expect_err("misrouted transfer must be rejected");
@@ -97,11 +97,11 @@ fn rerouting_any_transfer_is_rejected() {
 #[test]
 fn shrinking_any_transfer_is_rejected() {
     let (graph, plan, config) = valid_setup();
-    for (i, x) in plan.transfers().iter().enumerate().take(20) {
+    for (i, x) in plan.transfers().enumerate().take(20) {
         if x.duration == 0 {
             continue;
         }
-        let mut mutated = *x;
+        let mut mutated = x;
         mutated.duration = 0;
         let err = simulate(&graph, &with_transfer(&plan, i, mutated), &config)
             .expect_err("too-short transfer must be rejected");
@@ -115,11 +115,11 @@ fn dropping_any_transfer_is_rejected() {
     for skip in 0..plan.transfers().len().min(20) {
         let mut out = ExecutionPlan::new(plan.iterations());
         for t in plan.tasks() {
-            out.push_task(*t);
+            out.push_task(t);
         }
-        for (i, x) in plan.transfers().iter().enumerate() {
+        for (i, x) in plan.transfers().enumerate() {
             if i != skip {
-                out.push_transfer(*x);
+                out.push_transfer(x);
             }
         }
         let err = simulate(&graph, &out, &config).expect_err("missing transfer");
@@ -132,13 +132,13 @@ fn dropping_any_task_is_rejected() {
     let (graph, plan, config) = valid_setup();
     for skip in 0..plan.tasks().len().min(20) {
         let mut out = ExecutionPlan::new(plan.iterations());
-        for (i, t) in plan.tasks().iter().enumerate() {
+        for (i, t) in plan.tasks().enumerate() {
             if i != skip {
-                out.push_task(*t);
+                out.push_task(t);
             }
         }
         for x in plan.transfers() {
-            out.push_transfer(*x);
+            out.push_transfer(x);
         }
         let err = simulate(&graph, &out, &config).expect_err("incomplete plan");
         // Either the producer of some transfer is gone, or the
@@ -161,11 +161,11 @@ fn duplicating_entries_is_rejected() {
     // Duplicate first task.
     let mut dup_task = ExecutionPlan::new(plan.iterations());
     for t in plan.tasks() {
-        dup_task.push_task(*t);
+        dup_task.push_task(t);
     }
-    dup_task.push_task(plan.tasks()[0]);
+    dup_task.push_task(plan.tasks().next().unwrap());
     for x in plan.transfers() {
-        dup_task.push_transfer(*x);
+        dup_task.push_transfer(x);
     }
     assert!(matches!(
         simulate(&graph, &dup_task, &config).unwrap_err(),
@@ -174,12 +174,12 @@ fn duplicating_entries_is_rejected() {
     // Duplicate first transfer.
     let mut dup_xfer = ExecutionPlan::new(plan.iterations());
     for t in plan.tasks() {
-        dup_xfer.push_task(*t);
+        dup_xfer.push_task(t);
     }
     for x in plan.transfers() {
-        dup_xfer.push_transfer(*x);
+        dup_xfer.push_transfer(x);
     }
-    dup_xfer.push_transfer(plan.transfers()[0]);
+    dup_xfer.push_transfer(plan.transfers().next().unwrap());
     assert!(matches!(
         simulate(&graph, &dup_xfer, &config).unwrap_err(),
         SimError::DuplicateTransfer(_, _)

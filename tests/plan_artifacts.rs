@@ -1,14 +1,22 @@
 //! End-to-end contract of the versioned plan IR and registry.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! 1. **Round trip** — every benchmark and model-zoo plan survives
 //!    encode → decode → verify → re-encode *byte-identically*, with a
-//!    request key that depends only on (graph, config, policy);
+//!    request key that depends only on (graph, config, policy). The
+//!    artifact stores the kernel, retiming and allocation, not the
+//!    plan's instances: decode rebuilds the plan from them, so the
+//!    imported plan equals a fresh schedule of the same request and
+//!    the artifact's size does not grow with the iteration count;
 //! 2. **Hostile imports** — truncated files, flipped header bytes,
-//!    stale versions and hash-mismatched bodies all map to typed
-//!    [`ArtifactError`]s, never a panic, and a tampered-but-hash-valid
-//!    bundle is still rejected by the verifier gate;
+//!    stale versions (format 1 included) and hash-mismatched bodies
+//!    all map to typed [`ArtifactError`]s, never a panic. A
+//!    tampered-but-hash-valid body — a smuggled plan section, a
+//!    corrupted kernel or retiming — is rejected at decode, at the
+//!    verifier gate or by the simulator, with a typed error, and an
+//!    iteration count whose plan would expand past
+//!    `MAX_PLAN_INSTANCES` is refused at decode;
 //! 3. **Registry** — the sharded store returns exactly the bytes it
 //!    was given and rejects path-shaped keys;
 //! 4. **Concurrency** — a same-key put storm and a put-while-get loop
@@ -21,13 +29,13 @@
 use proptest::prelude::*;
 
 use paraconv::graph::TaskGraph;
-use paraconv::pim::PimConfig;
+use paraconv::pim::{simulate, PeId, PimConfig};
 use paraconv::registry::{
     decode, request_key, sha256_hex, ArtifactError, PlanBundle, PlanPolicy, Registry,
-    FORMAT_VERSION, PRODUCER,
+    FORMAT_VERSION, MAX_PLAN_INSTANCES, PRODUCER,
 };
 use paraconv::retime::Retiming;
-use paraconv::sched::{AllocationPolicy, ParaConvScheduler};
+use paraconv::sched::{AllocationPolicy, KernelSchedule, ParaConvScheduler};
 use paraconv::synth::benchmarks;
 use paraconv::verify::verify_outcome;
 
@@ -183,14 +191,19 @@ fn flipped_magic_is_a_schema_mismatch() {
 #[test]
 fn stale_format_versions_are_a_version_skew() {
     let text = String::from_utf8(sample_bytes()).expect("artifact is UTF-8");
-    let stale = text.replacen("\"format\":1", "\"format\":99", 1);
-    assert_ne!(stale, text, "format field present exactly once");
-    match decode_err(stale.as_bytes()) {
-        ArtifactError::VersionSkew { found, supported } => {
-            assert_eq!(found, 99);
-            assert_eq!(supported, FORMAT_VERSION);
+    assert_eq!(FORMAT_VERSION, 2);
+    // Format 1 stored the plan's expansion; this build reads neither
+    // it nor any other version but its own.
+    for version in [1, 99] {
+        let stale = text.replacen("\"format\":2", &format!("\"format\":{version}"), 1);
+        assert_ne!(stale, text, "format field present exactly once");
+        match decode_err(stale.as_bytes()) {
+            ArtifactError::VersionSkew { found, supported } => {
+                assert_eq!(found, version);
+                assert_eq!(supported, FORMAT_VERSION);
+            }
+            other => panic!("expected VersionSkew, got {other}"),
         }
-        other => panic!("expected VersionSkew, got {other}"),
     }
 }
 
@@ -214,21 +227,29 @@ fn corrupted_bodies_are_a_hash_mismatch() {
     }
 }
 
-#[test]
-fn hash_fixed_schema_corruption_is_a_schema_mismatch() {
-    // Corrupt the body *and* recompute the content hash: the hash gate
-    // passes, so the codec's strict key checking must catch it.
-    let text = String::from_utf8(sample_bytes()).expect("artifact is UTF-8");
+/// Replaces the body of a valid artifact and re-hashes it honestly,
+/// so only the codec and the gates downstream of it can object.
+fn rehashed(bytes: &[u8], edit: impl FnOnce(&str) -> String) -> Vec<u8> {
+    let text = String::from_utf8(bytes.to_vec()).expect("artifact is UTF-8");
     let (header, rest) = text.split_once('\n').expect("two-line artifact");
     let body = rest.strip_suffix('\n').expect("newline-terminated body");
-    let evil_body = body.replacen("\"plan\":", "\"plam\":", 1);
-    assert_ne!(evil_body, body, "plan section present");
+    let evil_body = edit(body);
+    assert_ne!(evil_body, body, "the edit changed the body");
     let old_hash_field = format!("\"content_hash\":\"{}\"", sha256_hex(body.as_bytes()));
     let new_hash_field = format!("\"content_hash\":\"{}\"", sha256_hex(evil_body.as_bytes()));
     let evil_header = header.replacen(&old_hash_field, &new_hash_field, 1);
     assert_ne!(evil_header, header, "content_hash field patched");
-    let evil = format!("{evil_header}\n{evil_body}\n");
-    match decode_err(evil.as_bytes()) {
+    format!("{evil_header}\n{evil_body}\n").into_bytes()
+}
+
+#[test]
+fn hash_fixed_schema_corruption_is_a_schema_mismatch() {
+    // Corrupt the body *and* recompute the content hash: the hash gate
+    // passes, so the codec's strict key checking must catch it.
+    let evil = rehashed(&sample_bytes(), |body| {
+        body.replacen("\"kernel\":", "\"kernal\":", 1)
+    });
+    match decode_err(&evil) {
         ArtifactError::SchemaMismatch { path, .. } => {
             assert!(path.starts_with("body"), "schema path localizes: {path}")
         }
@@ -237,11 +258,67 @@ fn hash_fixed_schema_corruption_is_a_schema_mismatch() {
 }
 
 #[test]
-fn hash_valid_tampered_outcomes_die_at_the_verifier_gate() {
+fn a_smuggled_plan_section_cannot_change_what_import_runs() {
+    // Format 1 stored the plan's instances next to the parts that
+    // determine them, and nothing tied the two together: a plan
+    // shifted 1000 cycles and honestly re-hashed passed decode and the
+    // gate, then simulated 1000 cycles late. Format 2 has no plan
+    // section, so the same smuggled section is an unknown field.
+    let fresh = bundle_for(cat_graph());
+    let mut rows = Vec::new();
+    for t in fresh.outcome.plan.tasks() {
+        rows.push(format!(
+            "[{},{},{},{},{}]",
+            t.node.index(),
+            t.iteration,
+            t.pe.index(),
+            t.start + 1000,
+            t.duration
+        ));
+    }
+    let section = format!(
+        ",\"plan\":{{\"iterations\":{ITERS},\"tasks\":[{}],\"transfers\":[]}},\"retiming\":",
+        rows.join(",")
+    );
+    let evil = rehashed(&sample_bytes(), |body| {
+        body.replacen(",\"retiming\":", &section, 1)
+    });
+    match decode_err(&evil) {
+        ArtifactError::SchemaMismatch { path, .. } => assert_eq!(path, "body.outcome.plan"),
+        other => panic!("expected SchemaMismatch, got {other}"),
+    }
+
+    // What import runs is what the scheduler emits for the request.
+    let imported = decode(&sample_bytes()).expect("sample decodes").bundle;
+    assert_eq!(imported.outcome.plan, fresh.outcome.plan);
+    let cfg = config();
+    assert_eq!(
+        simulate(&imported.graph, &imported.outcome.plan, &cfg).expect("imported plan replays"),
+        simulate(&fresh.graph, &fresh.outcome.plan, &cfg).expect("fresh plan replays")
+    );
+}
+
+/// Whether a hash-valid artifact is refused before it could run: a
+/// typed error at decode, at the verifier gate or in the simulator.
+/// Panics (the test fails) if any stage panics instead.
+fn refused_before_running(bytes: &[u8]) -> bool {
+    let Ok(artifact) = decode(bytes) else {
+        return true;
+    };
+    let b = &artifact.bundle;
+    verify_outcome(&b.graph, &b.outcome, &b.config).is_err()
+        || simulate(&b.graph, &b.outcome.plan, &b.config).is_err()
+}
+
+#[test]
+fn hash_valid_tampered_outcomes_are_refused_before_running() {
     // An attacker who re-encodes honestly (valid hashes, valid schema)
     // after corrupting the outcome still cannot get a plan executed:
-    // the import gate re-proves the plan from the artifact alone.
-    let mut bundle = bundle_for(cat_graph());
+    // import re-derives the plan from the artifact and re-proves it.
+    let fresh = bundle_for(cat_graph());
+
+    // An illegal retiming: R(edge) < R(dst).
+    let mut bundle = fresh.clone();
     let dst = bundle
         .graph
         .edges()
@@ -256,16 +333,115 @@ fn hash_valid_tampered_outcomes_die_at_the_verifier_gate() {
         .map(|(_, v)| v)
         .collect();
     let edge_values = bundle.outcome.retiming.edge_values_raw().to_vec();
-    node_values[dst] = u64::MAX; // R(edge) < R(dst): structurally illegal
+    node_values[dst] = u64::MAX;
     bundle.outcome.retiming = Retiming::from_values(node_values, edge_values);
-    let bytes = bundle.encode();
-    let artifact = decode(&bytes).expect("hashes and schema are honest");
-    let gate = verify_outcome(
-        &artifact.bundle.graph,
-        &artifact.bundle.outcome,
-        &artifact.bundle.config,
+    assert!(
+        refused_before_running(&bundle.encode()),
+        "tampered retiming slipped through"
     );
-    assert!(gate.is_err(), "tampered retiming slipped the verifier gate");
+
+    // Kernels rebuilt with one slot's PE replaced.
+    let kernel = &fresh.outcome.kernel;
+    let with_pe = |slot: usize, pe: PeId| {
+        let mut pes = kernel.pe_slots().to_vec();
+        pes[slot] = pe;
+        let mut bundle = fresh.clone();
+        bundle.outcome.kernel = KernelSchedule::from_parts(
+            kernel.period(),
+            kernel.copies(),
+            kernel.node_count(),
+            pes,
+            kernel.start_slots().to_vec(),
+            kernel.finish_slots().to_vec(),
+        )
+        .expect("same shape");
+        bundle.encode()
+    };
+    // A slot on a PE outside the array.
+    assert!(
+        refused_before_running(&with_pe(0, PeId::new(PES as u32))),
+        "a slot outside the PE array slipped through"
+    );
+    // Two slots whose windows overlap, moved onto one PE.
+    let (starts, finishes) = (kernel.start_slots(), kernel.finish_slots());
+    let (a, b) = (0..starts.len())
+        .flat_map(|a| (0..starts.len()).map(move |b| (a, b)))
+        .find(|&(a, b)| {
+            a != b
+                && kernel.pe_slots()[a] != kernel.pe_slots()[b]
+                && starts[a] < finishes[b]
+                && starts[b] < finishes[a]
+        })
+        .expect("a compacted kernel runs some slots in parallel");
+    assert!(
+        refused_before_running(&with_pe(b, kernel.pe_slots()[a])),
+        "overlapping slots on one PE slipped through"
+    );
+}
+
+#[test]
+fn absurd_iteration_counts_are_refused_at_decode() {
+    // The plan is rebuilt from the kernel, so a few-KB body could
+    // otherwise declare an iteration count whose replay touches
+    // trillions of instances. Decode refuses any count that would
+    // expand past MAX_PLAN_INSTANCES, before building anything.
+    let fresh = bundle_for(cat_graph());
+    let with_iterations = |iterations: u64| {
+        let mut bundle = fresh.clone();
+        bundle.policy.iterations = iterations;
+        bundle.encode()
+    };
+    let per_iteration = (fresh.graph.node_count() + fresh.graph.edge_count()) as u64;
+    let limit = MAX_PLAN_INSTANCES / per_iteration;
+    for iterations in [u64::MAX, u64::MAX - 1, 1 << 62, 1 << 40, limit + 1] {
+        let bytes = with_iterations(iterations);
+        match decode_err(&bytes) {
+            ArtifactError::SchemaMismatch { path, .. } => {
+                assert_eq!(path, "body.policy.iterations");
+            }
+            other => panic!("expected SchemaMismatch, got {other}"),
+        }
+        assert!(refused_before_running(&bytes));
+    }
+    // At the limit the plan decodes, still without expanding it.
+    let artifact = decode(&with_iterations(limit)).expect("the limit itself decodes");
+    let plan = &artifact.bundle.outcome.plan;
+    assert_eq!(plan.iterations(), limit);
+    assert!(
+        (plan.tasks().len() + plan.transfers().len()) as u64 <= MAX_PLAN_INSTANCES,
+        "the limit bounds the expansion"
+    );
+    assert!(plan.makespan() > limit, "the last iteration runs last");
+}
+
+#[test]
+fn artifact_size_does_not_grow_with_iterations() {
+    // Past the unroll cap the kernel no longer changes, so neither do
+    // the artifact's bytes, apart from the iteration count itself.
+    let graph = cat_graph();
+    let cfg = config();
+    let export = |iterations: u64| {
+        let outcome = ParaConvScheduler::new(cfg.clone())
+            .schedule(&graph, iterations)
+            .expect("schedulable");
+        PlanBundle {
+            graph: graph.clone(),
+            config: cfg.clone(),
+            policy: PlanPolicy {
+                allocation: AllocationPolicy::DynamicProgram,
+                iterations,
+            },
+            outcome,
+        }
+        .encode()
+    };
+    let (small, large) = (export(100), export(1000));
+    assert!(
+        small.len().abs_diff(large.len()) <= 1,
+        "100 iterations: {} bytes, 1000 iterations: {} bytes",
+        small.len(),
+        large.len()
+    );
 }
 
 #[test]
@@ -320,7 +496,7 @@ proptest! {
 fn mini_artifact(body: &str) -> Vec<u8> {
     let hash = sha256_hex(body.as_bytes());
     format!(
-        "{{\"content_hash\":\"{hash}\",\"format\":1,\"key\":\"{hash}\",\
+        "{{\"content_hash\":\"{hash}\",\"format\":2,\"key\":\"{hash}\",\
          \"magic\":\"paraconv-plan\",\"producer\":\"storm-test\"}}\n{body}\n"
     )
     .into_bytes()

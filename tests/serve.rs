@@ -202,3 +202,82 @@ fn drain_rejects_new_work_typed() {
     assert_eq!(response.status, ServeStatus::Draining);
     assert_eq!(core.stats().draining, 1);
 }
+
+#[test]
+fn retained_spans_do_not_grow_with_requests_served() {
+    // `paraconv serve` records with obs on, and nothing in serve
+    // consumes spans: each worker drops its job's phase spans, so what
+    // a worker still holds when it exits (and flushes) is the same
+    // after 2 misses as after 12.
+    paraconv::obs::enable();
+    let retained_after = |misses: u64| {
+        let core = ServeCore::new(storm_config(1)).expect("serve core");
+        core.start();
+        let _ = paraconv::obs::take_spans();
+        for i in 0..misses {
+            let fresh = request(&format!("miss-{i}"), "tenant-a", "cat", 8, 1 + i);
+            assert_eq!(core.submit(fresh).wait().status, ServeStatus::Ok);
+        }
+        let stats = core.drain();
+        assert_eq!(stats.misses, misses);
+        paraconv::obs::take_spans().len()
+    };
+    let few = retained_after(2);
+    let many = retained_after(12);
+    assert_eq!(few, many, "retained spans grew with the requests served");
+}
+
+#[test]
+fn oversized_request_line_is_invalid_and_the_daemon_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let handle = paraconv::serve::daemon::serve("127.0.0.1:0", storm_config(1)).expect("binds");
+    let addr = handle.addr();
+
+    // A 1 MiB line with no newline: answered `invalid`, then closed.
+    let timeout = Some(std::time::Duration::from_secs(30));
+    let hog = std::net::TcpStream::connect(addr).expect("connects");
+    hog.set_read_timeout(timeout).expect("read timeout");
+    let mut hog_writer = hog.try_clone().expect("clones");
+    let flood = std::thread::spawn(move || {
+        // The daemon closes the connection mid-flood; the write error
+        // that follows is expected.
+        let _ = hog_writer.write_all(&vec![b'x'; 1 << 20]);
+    });
+    let mut hog_reader = BufReader::new(hog);
+    let mut line = String::new();
+    hog_reader.read_line(&mut line).expect("a response arrives");
+    let response = ServeResponse::parse(line.trim()).expect("typed response");
+    assert_eq!(response.status, ServeStatus::Invalid);
+    let mut rest = String::new();
+    assert!(
+        matches!(hog_reader.read_line(&mut rest), Ok(0) | Err(_)),
+        "the oversized connection is closed"
+    );
+    flood.join().expect("flood thread");
+
+    // Another connection is still served.
+    let client = std::net::TcpStream::connect(addr).expect("connects");
+    client.set_read_timeout(timeout).expect("read timeout");
+    let mut client_writer = client.try_clone().expect("clones");
+    let plan = paraconv::serve::plan_line(&request("after", "tenant-a", "cat", 8, 4));
+    client_writer
+        .write_all(format!("{plan}\n").as_bytes())
+        .expect("request sent");
+    let mut reply = String::new();
+    BufReader::new(client)
+        .read_line(&mut reply)
+        .expect("reply arrives");
+    let reply = ServeResponse::parse(reply.trim()).expect("typed response");
+    assert_eq!(reply.status, ServeStatus::Ok);
+    // Hang up, so shutdown can join the connection thread.
+    drop(client_writer);
+
+    let stats = handle.shutdown();
+    assert_eq!(stats.accepted, 1);
+    assert_eq!(
+        stats.accepted,
+        stats.served + stats.deadline + stats.failed,
+        "conservation"
+    );
+}
